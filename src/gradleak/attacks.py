@@ -4,8 +4,8 @@ Both attacks search over the input with Adam, driving the model gradient
 toward an observed target gradient: by squared L2 distance (the classic
 leakage attack) or by cosine similarity (the similarity variant, with
 per-step box projection onto [0, 1]).  The gradient of the matching
-objective w.r.t. the input is an exact second derivative supplied by
-the autodiff engine.
+objective w.r.t. the input is an exact second derivative: one J @ v
+product of the graph-free mixed-Jacobian kernel.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Var, grad
-from .models import MixedJacobianOperator, _forward_var, _require_built
+from .models import MixedJacobianOperator, _require_built
 
 
 @dataclass(frozen=True)
@@ -93,26 +91,26 @@ def _dummy_init(spec, cfg):
 
 
 def _objective_grad(spec, params, x, y, g_target, kind):
-    """Matching objective and its input gradient at the current dummy x."""
-    x_var = Var(x)
-    theta_var = Var(params.theta)
-    loss = _forward_var(spec, theta_var, x_var, y)
-    (gt,) = grad(loss, [theta_var])
+    """Matching objective and its input gradient at the current dummy x.
+
+    Both objectives depend on x only through g = g_theta(x), so their
+    input gradient is one mixed-Jacobian product, J @ d(obj)/dg.
+    """
+    op = MixedJacobianOperator(spec, params, x, y)
+    g = op.g_theta
     if kind == "dgl":
-        r = ad.sub(gt, Var(g_target))
-        obj = ad.sum_all(ad.mul(r, r))
+        r = g - g_target
+        obj, dobj = float(np.sum(r * r)), 2.0 * r
     else:
         tnorm = np.linalg.norm(g_target)
         if tnorm == 0.0:
             raise ValueError("cosine objective undefined for zero target gradient")
-        gnorm = float(np.linalg.norm(gt.data))
+        gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             raise ZeroGradientError("synthesized gradient vanished; cosine undefined")
-        cos = ad.div(ad.dot(gt, Var(g_target)),
-                     ad.mul(ad.sqrt(ad.dot(gt, gt)), Var(tnorm)))
-        obj = ad.sub(Var(1.0), cos)
-    (gx,) = grad(obj, [x_var])
-    return float(obj.data), gx.data
+        cos = float(g @ g_target) / (gnorm * tnorm)
+        obj, dobj = 1.0 - cos, cos / gnorm ** 2 * g - g_target / (gnorm * tnorm)
+    return obj, op.jvp(dobj).reshape(np.shape(x))
 
 
 class ZeroGradientError(RuntimeError):

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 The backward pass is itself expressed with the same differentiable
-primitives, so gradients can be differentiated again.  That is the
-mechanism behind the matrix-free mixed second derivatives used
-throughout this package: the product of the input/parameter Jacobian
-with a vector is just the gradient of an inner product of a gradient.
+primitives, so gradients can be differentiated again: the product of
+the input/parameter Jacobian with a vector is the gradient of an inner
+product of a gradient.  The package computes those products with a
+graph-free kernel (`models.MixedJacobianOperator`); this engine builds
+them as graphs instead, as the kernel's independent oracle, and
+evaluates `models.forward_loss`.
 
 Every value is a `Var` wrapping a float64 ndarray.  `grad(out, [a, b])`
 returns cotangents as `Var`s belonging to the same graph, so calling
@@ -160,12 +162,15 @@ def tanh(a):
     return out
 
 
+def sigmoid_data(d):
+    """Stable logistic of an array: exp only of non-positive numbers."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     a = as_var(a)
-    # stable logistic: exp only on the negative side
-    d = a.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Var(out_data, (a,), None)
+    out = Var(sigmoid_data(a.data), (a,), None)
     out.vjp = lambda g: (mul(g, mul(out, sub(Var(1.0), out))),)
     return out
 
@@ -249,45 +254,60 @@ _GEOM_CACHE = {}
 
 
 def conv_geometry(in_shape, kernel, stride, padding):
-    """Flat gather indices turning a padded (C,H,W) image into patch columns."""
+    """Flat gather indices turning a (C,H,W) image into patch columns.
+
+    Rows index (channel, ki, kj) and columns output positions.  Indices
+    point into the flattened image with one zero appended: every position
+    in the padding border maps to that zero slot, index C*H*W.
+    Returns (indices, C*H*W, (out_h, out_w)).
+    """
     key = (in_shape, kernel, stride, padding)
     geom = _GEOM_CACHE.get(key)
     if geom is None:
         c, h, w = in_shape
-        hp, wp = h + 2 * padding, w + 2 * padding
-        oh = (hp - kernel) // stride + 1
-        ow = (wp - kernel) // stride + 1
+        oh = (h + 2 * padding - kernel) // stride + 1
+        ow = (w + 2 * padding - kernel) // stride + 1
         if oh <= 0 or ow <= 0:
             raise ValueError(f"kernel {kernel} does not fit input {in_shape} with stride {stride}, padding {padding}")
-        # rows index (channel, ki, kj); columns index output positions
         ci, ki, kj = np.meshgrid(np.arange(c), np.arange(kernel), np.arange(kernel), indexing="ij")
         oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        ii = ki.reshape(-1, 1) + (oi * stride).reshape(1, -1)
-        jj = kj.reshape(-1, 1) + (oj * stride).reshape(1, -1)
-        flat = ci.reshape(-1, 1) * (hp * wp) + ii * wp + jj
-        geom = (flat, (c, hp, wp), (oh, ow))
+        ii = ki.reshape(-1, 1) + (oi * stride).reshape(1, -1) - padding
+        jj = kj.reshape(-1, 1) + (oj * stride).reshape(1, -1) - padding
+        inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+        idx = np.where(inside, ci.reshape(-1, 1) * (h * w) + ii * w + jj, c * h * w)
+        geom = (idx, c * h * w, (oh, ow))
         _GEOM_CACHE[key] = geom
     return geom
+
+
+def im2col_data(x, kernel, stride, padding):
+    """Patch columns of a (C,H,W) array: the gather both autodiff and the
+    graph-free kernel use."""
+    idx, _, _ = conv_geometry(x.shape, kernel, stride, padding)
+    return np.append(x.reshape(-1), 0.0)[idx]
+
+
+def col2im_data(cols, in_shape, kernel, stride, padding):
+    """Adjoint of im2col_data: scatter-add patch columns back to (C,H,W).
+
+    bincount adds the weights of each bin in index order, as np.add.at
+    does, so the sums are the same bit for bit."""
+    in_shape = tuple(in_shape)
+    idx, size, _ = conv_geometry(in_shape, kernel, stride, padding)
+    flat = np.bincount(idx.reshape(-1), weights=cols.reshape(-1), minlength=size + 1)
+    return flat[:size].reshape(in_shape)
 
 
 def im2col(x, kernel, stride, padding):
     x = as_var(x)
     in_shape = x.data.shape
-    idx, pad_shape, _ = conv_geometry(in_shape, kernel, stride, padding)
-    c, hp, wp = pad_shape
-    xpad = np.zeros(pad_shape)
-    xpad[:, padding:padding + in_shape[1], padding:padding + in_shape[2]] = x.data
-    data = xpad.reshape(-1)[idx]
+    data = im2col_data(x.data, kernel, stride, padding)
     return Var(data, (x,), lambda g: (col2im(g, in_shape, kernel, stride, padding),))
 
 
 def col2im(cols, in_shape, kernel, stride, padding):
     cols = as_var(cols)
-    idx, pad_shape, _ = conv_geometry(tuple(in_shape), kernel, stride, padding)
-    flat = np.zeros(pad_shape[0] * pad_shape[1] * pad_shape[2])
-    np.add.at(flat, idx.reshape(-1), cols.data.reshape(-1))
-    xpad = flat.reshape(pad_shape)
-    data = xpad[:, padding:padding + in_shape[1], padding:padding + in_shape[2]].copy()
+    data = col2im_data(cols.data, in_shape, kernel, stride, padding)
     return Var(data, (cols,), lambda g: (im2col(g, kernel, stride, padding),))
 
 

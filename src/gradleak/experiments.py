@@ -9,13 +9,14 @@ writes timings to a separate sidecar file instead.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
 import numpy as np
 
 from . import models as zoo
-from .attacks import AttackConfig, gaussian_perturbation, prune_gradient, run_attack
+from .attacks import gaussian_perturbation, prune_gradient, run_attack
 from .config import ConfigError, ExperimentConfig, job_seed
 from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
@@ -86,6 +87,40 @@ def model_label(spec, sample):
     return sample.label if spec.loss == "cross_entropy" else None
 
 
+def _attack_config(cfg, seed, **overrides):
+    """The config's attack block for one job: its own seed, plus overrides."""
+    return dataclasses.replace(cfg.attack, seed=seed, **overrides)
+
+
+# A wrong pass rule errs by O(1).  The two float64 routes agree to ~1e-15 of
+# the largest entry, or ~1e-16 / (1 - p_max) once a softmax saturates.
+KERNEL_CHECK_TOL = 1e-6
+
+
+def _check_kernel(op, params, x, y, seed):
+    """Compare one J @ delta of the graph-free kernel with the autodiff
+    engine's graph-built product, so that every run keeps an independent
+    route through the layer rules of the model it audits."""
+    delta = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_theta)
+    ref = zoo.engine_oracle(op.spec, params, x, y, "jvp", delta)
+    err = np.abs(op.jvp(delta) - ref).max() / max(np.abs(ref).max(), 1e-300)
+    if not err <= KERNEL_CHECK_TOL:
+        raise RuntimeError(f"mixed-Jacobian kernel disagrees with the autodiff engine: "
+                           f"relative error {err:.3e} > {KERNEL_CHECK_TOL:.0e}")
+
+
+def _sample_operators(spec, params, dataset, n, seed):
+    """(index, sample, x, y, operator) for the first n samples; the first
+    operator is checked against the engine."""
+    for si in range(n):
+        sample = dataset[si]
+        x, y = model_input(spec, sample), model_label(spec, sample)
+        op = MixedJacobianOperator(spec, params, x, y)
+        if si == 0:
+            _check_kernel(op, params, x, y, seed)
+        yield si, sample, x, y, op
+
+
 def _csv_comments(cfg):
     return [f"config_hash={cfg.config_hash()}", f"seed={cfg.seed}"]
 
@@ -129,23 +164,14 @@ def run_audit(cfg: ExperimentConfig):
     rows = []
     n = min(cfg.samples, len(dataset))
     for epoch, params in _parameter_epochs(cfg, spec, dataset):
-        for si in range(n):
-            sample = dataset[si]
-            x0 = model_input(spec, sample)
-            y = model_label(spec, sample)
-            op = MixedJacobianOperator(spec, params, x0, y)
+        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
             g0 = op.g_theta
             for pi, pert in enumerate(cfg.perturbations):
                 seed = job_seed(cfg.seed, epoch, si, pi)
                 delta, param_val = _realize_perturbation(pert, op, g0, seed)
                 exact = i2f_exact(op, delta, cfg.solver)
-                lb = i2f_lower_bound(op, delta, seed=seed)
-                atk_cfg = AttackConfig(
-                    kind=cfg.attack.kind, iterations=cfg.attack.iterations,
-                    learning_rate=cfg.attack.learning_rate, beta1=cfg.attack.beta1,
-                    beta2=cfg.attack.beta2, adam_eps=cfg.attack.adam_eps,
-                    dummy_init=cfg.attack.dummy_init, box_projection=cfg.attack.box_projection,
-                    seed=job_seed(cfg.seed, epoch, si, pi, 1))
+                lb = i2f_lower_bound(op, delta, seed=seed, epsilon=cfg.solver.epsilon)
+                atk_cfg = _attack_config(cfg, job_seed(cfg.seed, epoch, si, pi, 1))
                 res = run_attack(spec, params, g0 + delta, y, atk_cfg, x0=x0)
                 if cfg.dump_images:
                     _dump_pair(cfg.output_dir, f"audit_e{epoch}_s{si}_p{pi}", x0, res.x_star,
@@ -173,20 +199,13 @@ def run_eigen_defense(cfg: ExperimentConfig):
     rows = []
     n = min(cfg.samples, len(dataset))
     params = initialize_parameters(spec, cfg.init)
-    for si in range(n):
-        sample = dataset[si]
-        x0 = model_input(spec, sample)
-        y = model_label(spec, sample)
-        op = MixedJacobianOperator(spec, params, x0, y)
+    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
         J = _dense_from_operator(op, budget=10_000_000)
         _, s, vt = np.linalg.svd(J, full_matrices=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         for di in _direction_indices(rank, cfg.eigen_directions):
             delta = scale * vt[di]
-            atk_cfg = AttackConfig(
-                kind=cfg.attack.kind, iterations=cfg.attack.iterations,
-                learning_rate=cfg.attack.learning_rate, dummy_init=cfg.attack.dummy_init,
-                box_projection=cfg.attack.box_projection, seed=job_seed(cfg.seed, si, di))
+            atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, di))
             res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
             if cfg.dump_images:
                 _dump_pair(cfg.output_dir, f"eigen_s{si}_d{di}", x0, res.x_star,
@@ -212,17 +231,10 @@ def run_fairness(cfg: ExperimentConfig):
     rows = []
     n = min(cfg.samples, len(dataset))
     results = []
-    for si in range(n):
-        sample = dataset[si]
-        x0 = model_input(spec, sample)
-        y = model_label(spec, sample)
-        op = MixedJacobianOperator(spec, params, x0, y)
+    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
         _, delta = gaussian_perturbation(op.g_theta, variance, seed=job_seed(cfg.seed, si))
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1))
-        atk_cfg = AttackConfig(
-            kind=cfg.attack.kind, iterations=cfg.attack.iterations,
-            learning_rate=cfg.attack.learning_rate, dummy_init=cfg.attack.dummy_init,
-            box_projection=cfg.attack.box_projection, seed=job_seed(cfg.seed, si, 2))
+        atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, 2))
         res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
         rows.append([si, sample.label, variance, float(np.linalg.norm(delta)),
                      lb.lower_bound, res.l2, res.rmse ** 2])
@@ -262,21 +274,14 @@ def run_init_compare(cfg: ExperimentConfig):
     n = min(cfg.samples, len(dataset))
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
-        for si in range(n):
-            sample = dataset[si]
-            x0 = model_input(spec, sample)
-            y = model_label(spec, sample)
-            op = MixedJacobianOperator(spec, params, x0, y)
+        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
             spectrum = dense_spectrum(op)
             nonzero = spectrum.eigenvalues[spectrum.eigenvalues > spectrum.rank_threshold]
             exp_risk = float(variance * np.sum(1.0 / nonzero))
             for rep in range(cfg.repetitions):
                 seed = job_seed(cfg.seed, scheme_idx, si, rep)
                 _, delta = gaussian_perturbation(op.g_theta, variance, seed=seed)
-                atk_cfg = AttackConfig(
-                    kind=cfg.attack.kind, iterations=cfg.attack.iterations,
-                    learning_rate=cfg.attack.learning_rate, dummy_init=cfg.attack.dummy_init,
-                    box_projection=cfg.attack.box_projection, seed=job_seed(seed, 1))
+                atk_cfg = _attack_config(cfg, job_seed(seed, 1))
                 res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
                 rows.append([scheme_kind, si, rep, variance, exp_risk, res.l2, res.rmse ** 2])
     path = os.path.join(cfg.output_dir, "init_compare.csv")
@@ -314,12 +319,10 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
     attack_rows = []
     attack_time = float("inf")
     op = MixedJacobianOperator(spec, params, x0, y)
+    _check_kernel(op, params, x0, y, cfg.seed)
     for lr in learning_rates:
         for s in range(n_seeds):
-            atk_cfg = AttackConfig(kind=cfg.attack.kind, iterations=cfg.attack.iterations,
-                                   learning_rate=lr, dummy_init=cfg.attack.dummy_init,
-                                   box_projection=cfg.attack.box_projection,
-                                   seed=job_seed(cfg.seed, s, int(lr * 1000)))
+            atk_cfg = _attack_config(cfg, job_seed(cfg.seed, s, int(lr * 1000)), learning_rate=lr)
             res = run_attack(spec, params, op.g_theta, y, atk_cfg, x0=x0)
             attack_time = min(attack_time, res.wall_time)
             attack_rows += [[lr, s, i, v] for i, v in enumerate(res.loss_trace)]
@@ -343,10 +346,7 @@ def run_spectrum(cfg: ExperimentConfig):
     params = initialize_parameters(spec, cfg.init)
     rows = []
     n = min(cfg.samples, len(dataset))
-    for si in range(n):
-        sample = dataset[si]
-        op = MixedJacobianOperator(spec, params, model_input(spec, sample),
-                                   model_label(spec, sample))
+    for si, _, _, _, op in _sample_operators(spec, params, dataset, n, cfg.seed):
         rep = dense_spectrum(op)
         rows += [[si, i, float(lam), float(sig)]
                  for i, (lam, sig) in enumerate(zip(rep.eigenvalues, rep.singular_values))]
@@ -451,6 +451,15 @@ def run_validate(seed=0, perturb_vjp=None):
     d = rng.normal(size=spec.d_theta)
     bound = theorem_bound(1.0, 1.0, 0.0, op.g_theta, d, np.linalg.norm(op.jvp(d)))
     record("certified_bound_linear_exact", abs(bound - np.linalg.norm(d)), 1e-9)
+
+    # graph-free kernel vs. the autodiff engine's graph-built products
+    for name, spec, params, x, y in cases:
+        op = MixedJacobianOperator(spec, params, x, y)
+        for what, product, size in (("jvp", op.jvp, spec.d_theta), ("vjp", op.vjp, spec.d_x)):
+            v = rng.normal(size=size)
+            ref = zoo.engine_oracle(spec, params, x, y, what, v)
+            scale = max(np.abs(ref).max(), 1e-12)
+            record(f"engine_oracle_mixed_{what}[{name}]", np.abs(product(v) - ref).max() / scale, 1e-10)
 
     lines = [
         f"{'PASS' if ok else 'FAIL'} {name}: error={err:.3e} tolerance={tol:.3e}"

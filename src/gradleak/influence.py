@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import BudgetError, MixedJacobianOperator
+from .models import MixedJacobianOperator, _basis, check_budget
 
 SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 
@@ -137,17 +137,10 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
 
 
 def _dense_from_operator(operator, budget):
-    entries = operator.d_x * operator.d_theta
-    if entries > budget:
-        raise BudgetError(f"dense solve needs {entries} Jacobian entries, budget is {budget}")
+    """Dense J, one row per VJP."""
+    check_budget(operator, budget)
     rows = [operator.vjp(_basis(operator.d_x, i)) for i in range(operator.d_x)]
     return np.stack(rows, axis=0)
-
-
-def _basis(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def _conjugate_gradient(matvec, c, max_iters, tol):
@@ -169,15 +162,18 @@ def _conjugate_gradient(matvec, c, max_iters, tol):
     return b, max_iters, np.sqrt(rs) <= target
 
 
-def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0) -> I2FReport:
-    """||J delta|| / lambda_max(J J^T), the cheap certified floor."""
+def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
+                    epsilon=0.0) -> I2FReport:
+    """||J delta|| / (lambda_max(J J^T) + epsilon), the cheap floor under
+    ||(J J^T + epsilon I)^{-1} J delta||.  Power iteration approaches
+    lambda_max from below, so the floor holds once it has `converged`."""
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     lam, n_it, converged, _ = lambda_max_power_iteration(operator, iters=iters, tol=tol, seed=seed)
     rep = I2FReport()
     rep.lambda_max = lam
     rep.iterations = n_it
     rep.converged = converged
-    rep.lower_bound = float(np.linalg.norm(operator.jvp(delta)) / lam)
+    rep.lower_bound = float(np.linalg.norm(operator.jvp(delta)) / (lam + epsilon))
     return rep
 
 

@@ -1,9 +1,11 @@
 """Model zoo, parameter handling, and the mixed input/parameter Jacobian.
 
 Models are plain layer lists evaluated on a single sample with a flat
-float64 parameter vector.  Everything second-order (mixed JVP/VJP,
-dense Jacobian, finite-difference oracles) lives here because it only
-needs the loss to be expressible in the autodiff engine.
+float64 parameter vector.  Gradients and mixed JVP/VJPs come from a
+graph-free kernel with one pass rule per layer kind
+(`MixedJacobianOperator`).  The autodiff engine evaluates the loss
+(`forward_loss`) and is the kernel's independent oracle
+(`engine_oracle`), next to the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -251,41 +253,223 @@ def gradients(spec: ModelSpec, params: ParameterSet, x, y=None) -> GradientBundl
 class MixedJacobianOperator:
     """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta).
 
-    Builds the loss graph and the first-order gradient graph once, then
-    answers J @ delta and J.T @ b by differentiating inner products of
-    the retained gradient nodes.
+    Graph-free forward-over-reverse (Pearlmutter's R-operator): the
+    constructor runs one forward and one backward pass in plain numpy,
+    keeping each layer's activations and cotangents.  J @ delta is the
+    tangent of g_x as theta moves along delta, and J.T @ b the tangent of
+    g_theta as x moves along b; each takes one tangent-forward and one
+    tangent-backward pass through the kept values.
     """
 
     def __init__(self, spec: ModelSpec, params: ParameterSet, x, y=None):
         _require_built(spec)
         self.spec = spec
         x = _check_sample(spec, x)
-        self.x_var = Var(x)
-        self.theta_var = Var(params.theta)
-        self.loss_var = _forward_var(spec, self.theta_var, self.x_var, y)
-        gt, gx = grad(self.loss_var, [self.theta_var, self.x_var])
-        self._gt_var, self._gx_var = gt, ad.reshape(gx, (spec.d_x,))
-        self.g_theta = gt.data.copy()
-        self.g_x = self._gx_var.data.copy()
         self.d_x, self.d_theta = spec.d_x, spec.d_theta
+        self._slots = [None] * len(spec.layers)  # (offset, size, shape) per weighted layer
+        for i, off, shape in parameter_slots(spec):
+            self._slots[i] = (off, shape[0] * shape[1], shape)
+        self._rules = []
+        h = x
+        for i, layer in enumerate(spec.layers):
+            rule = _layer_rule(layer, self._weight(params.theta, i), h)
+            h = rule.out
+            if not np.all(np.isfinite(h)):
+                raise FloatingPointError(f"non-finite activation after layer {i} ({layer})")
+            self._rules.append(rule)
+        c, self._loss_hvp = _loss_rule(spec, h, y)
+        self.g_theta = np.zeros(self.d_theta)
+        for i in reversed(range(len(self._rules))):
+            gw, c = self._rules[i].backward(c)
+            self._put(self.g_theta, i, gw)
+        self.g_x = c.reshape(-1)
+
+    def _weight(self, vec, i):
+        slot = self._slots[i]
+        if slot is None or vec is None:
+            return None
+        off, size, shape = slot
+        return vec[off:off + size].reshape(shape)
+
+    def _put(self, out, i, block):
+        if block is not None:
+            off, size, _ = self._slots[i]
+            out[off:off + size] = block.reshape(-1)
+
+    def _tangent(self, dtheta, dx, want_theta):
+        """Tangents of (g_theta, g_x) along (dtheta, dx); None is a zero
+        tangent.  Only g_theta's tangent (want_theta) or only g_x's is made."""
+        dws = [self._weight(dtheta, i) for i in range(len(self._rules))]
+        saved = []
+        d = dx
+        for rule, dw in zip(self._rules, dws):
+            d, keep = rule.tangent_forward(dw, d)
+            saved.append(keep)
+        dc = None if d is None else self._loss_hvp(d)
+        dg = np.zeros(self.d_theta) if want_theta else None
+        for i in reversed(range(len(self._rules))):
+            dgw, dc = self._rules[i].tangent_backward(dws[i], saved[i], dc, want_theta,
+                                                      i > 0 or not want_theta)
+            if want_theta:
+                self._put(dg, i, dgw)
+        if want_theta:
+            return dg
+        return np.zeros(self.d_x) if dc is None else dc.reshape(-1)
 
     def jvp(self, delta):
-        """J @ delta: the x-gradient of <g_theta, delta>."""
+        """J @ delta: the tangent of g_x along theta + t * delta."""
         delta = np.asarray(delta, dtype=np.float64).reshape(-1)
         if delta.size != self.d_theta:
             raise ShapeError(f"delta length {delta.size} != d_theta {self.d_theta}")
-        s = ad.dot(self._gt_var, Var(delta))
-        (gx,) = grad(s, [self.x_var])
-        return gx.data.reshape(-1).copy()
+        return self._tangent(delta, None, want_theta=False)
 
     def vjp(self, b):
-        """J.T @ b: the theta-gradient of <g_x, b>."""
+        """J.T @ b: the tangent of g_theta along x + t * b."""
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         if b.size != self.d_x:
             raise ShapeError(f"vector length {b.size} != d_x {self.d_x}")
-        s = ad.dot(self._gx_var, Var(b))
-        (gt,) = grad(s, [self.theta_var])
-        return gt.data.copy()
+        return self._tangent(None, b.reshape(self.spec.input_shape), want_theta=True)
+
+
+# Pass rules, one per layer kind.  A rule is built by the forward pass and
+# keeps what its other passes need: backward(c) turns the cotangent of the
+# layer output into (weight gradient, input cotangent), tangent_forward
+# pushes (d weight, d input) to (d output, kept value), and tangent_backward
+# gives the tangents of backward's two results.  None is a zero tangent.
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _times(a, b):
+    return None if a is None or b is None else a @ b
+
+
+class _Affine:
+    """out = W @ cols(h): Linear with one column, Conv2d with im2col columns."""
+
+    def __init__(self, w, h, to_cols, from_cols, out_shape):
+        self.w, self.to_cols, self.from_cols = w, to_cols, from_cols
+        self.cols = to_cols(h)
+        self.out = (w @ self.cols).reshape(out_shape)
+
+    def backward(self, c):
+        c = self.c = c.reshape(self.w.shape[0], -1)
+        return c @ self.cols.T, self.from_cols(self.w.T @ c)
+
+    def tangent_forward(self, dw, dh):
+        dcols = None if dh is None else self.to_cols(dh)
+        dout = _plus(_times(dw, self.cols), _times(self.w, dcols))
+        return None if dout is None else dout.reshape(self.out.shape), dcols
+
+    def tangent_backward(self, dw, dcols, dc, grad, prev):
+        if dc is not None:
+            dc = dc.reshape(self.c.shape)
+        dg = dp = None
+        if grad:  # d(c @ cols.T)
+            dg = _plus(_times(dc, self.cols.T), None if dcols is None else self.c @ dcols.T)
+        if prev:  # d(W.T @ c), scattered back like backward's
+            dp = _plus(None if dw is None else dw.T @ self.c, _times(self.w.T, dc))
+            dp = None if dp is None else self.from_cols(dp)
+        return dg, dp
+
+
+_UNSET = object()
+
+
+class _Elementwise:
+    """An ACTIVATIONS kind, with the engine's primal formulas; relu'(0) = 0."""
+
+    def __init__(self, kind, z):
+        self.kind = kind
+        if kind == "sigmoid":
+            s = self.out = ad.sigmoid_data(z)
+            self.d1 = s * (1.0 - s)
+        elif kind == "tanh":
+            t = self.out = np.tanh(z)
+            self.d1 = 1.0 - t * t
+        elif kind == "relu":
+            self.out = np.maximum(z, 0.0)
+            self.d1 = (z > 0).astype(np.float64)
+        else:
+            self.out, self.d1 = z, None  # identity
+        self._cd2 = _UNSET
+
+    def backward(self, c):
+        self.c = c
+        return None, c if self.d1 is None else c * self.d1
+
+    def _c_times_second(self):
+        """c * act''(z): the same for every tangent, so made once."""
+        if self._cd2 is _UNSET:
+            if self.kind == "sigmoid":
+                self._cd2 = self.c * (self.d1 * (1.0 - 2.0 * self.out))
+            elif self.kind == "tanh":
+                self._cd2 = self.c * (-2.0 * self.out * self.d1)
+            else:
+                self._cd2 = None
+        return self._cd2
+
+    def tangent_forward(self, dw, dz):
+        if dz is None:
+            return None, None
+        return (dz if self.d1 is None else self.d1 * dz), dz
+
+    def tangent_backward(self, dw, dz, dc, grad, prev):
+        if not prev:
+            return None, None
+        first = dc if dc is None or self.d1 is None else dc * self.d1
+        cd2 = self._c_times_second()
+        return None, _plus(first, None if cd2 is None or dz is None else cd2 * dz)
+
+
+class _Flatten:
+    def __init__(self, h):
+        self.shape = h.shape
+        self.out = h.reshape(-1)
+
+    def backward(self, c):
+        return None, c.reshape(self.shape)
+
+    def tangent_forward(self, dw, dh):
+        return None if dh is None else dh.reshape(-1), None
+
+    def tangent_backward(self, dw, keep, dc, grad, prev):
+        return None, None if dc is None or not prev else dc.reshape(self.shape)
+
+
+def _layer_rule(layer, w, h):
+    if isinstance(layer, Linear):
+        return _Affine(w, h, lambda v: v.reshape(-1, 1), lambda c: c.reshape(-1),
+                       (layer.out_features,))
+    if isinstance(layer, Conv2d):
+        k, s, p, shape = layer.kernel, layer.stride, layer.padding, h.shape
+        _, _, (oh, ow) = ad.conv_geometry(shape, k, s, p)
+        return _Affine(w, h, lambda v: ad.im2col_data(v, k, s, p),
+                       lambda c: ad.col2im_data(c, shape, k, s, p), (layer.out_channels, oh, ow))
+    if isinstance(layer, Activation):
+        return _Elementwise(layer.kind, h)
+    return _Flatten(h)
+
+
+def _loss_rule(spec, out, y):
+    """(dL/d out, d -> Hessian of L in out times d, None for a zero Hessian)."""
+    if spec.loss == "cross_entropy":
+        if y is None or not (0 <= int(y) < spec.num_classes):
+            raise ShapeError(f"label {y} outside [0, {spec.num_classes})")
+        e = np.exp(out - out.max())
+        p = e * (1.0 / e.sum())
+        c = p.copy()
+        c[int(y)] -= 1.0
+        return c, lambda d: p * d - p * (p @ d)
+    if spec.loss == "squared_error":
+        return out - spec.target, lambda d: d
+    return np.ones_like(out), lambda d: None  # sum_output
 
 
 def mixed_jvp(spec, params, x, y, delta):
@@ -300,19 +484,22 @@ class BudgetError(ValueError):
     pass
 
 
-def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
-    """Dense J, built row-wise from VJPs (or column-wise from JVPs)."""
-    _require_built(spec)
-    entries = spec.d_x * spec.d_theta
+def check_budget(op, budget):
+    entries = op.d_x * op.d_theta
     if entries > budget:
         raise BudgetError(f"dense Jacobian needs {entries} entries, budget is {budget}")
+
+
+def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
+    """Dense J, built row-wise from VJPs (or column-wise from JVPs)."""
+    from .influence import _dense_from_operator
+
     op = MixedJacobianOperator(spec, params, x, y)
     if by == "rows":
-        rows = [op.vjp(_basis(spec.d_x, i)) for i in range(spec.d_x)]
-        return np.stack(rows, axis=0)
+        return _dense_from_operator(op, budget)
     if by == "columns":
-        cols = [op.jvp(_basis(spec.d_theta, j)) for j in range(spec.d_theta)]
-        return np.stack(cols, axis=1)
+        check_budget(op, budget)
+        return np.stack([op.jvp(_basis(op.d_theta, j)) for j in range(op.d_theta)], axis=1)
     raise ValueError("by must be 'rows' or 'columns'")
 
 
@@ -323,7 +510,32 @@ def _basis(n, i):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle (test side of the dual-route checks)
+# independent oracles (the other side of the dual-route checks)
+
+
+def engine_oracle(spec, params, x, y, what, vec=None):
+    """What the kernel computes, built instead as autodiff graphs.
+
+    `what` is "grad_theta", "grad_x", "jvp" (J @ vec: the x-gradient of
+    <g_theta, vec>) or "vjp" (J.T @ vec: the theta-gradient of <g_x, vec>).
+    """
+    _require_built(spec)
+    x = _check_sample(spec, x)
+    if what not in ("grad_theta", "grad_x", "jvp", "vjp"):
+        raise ValueError(f"unknown oracle target {what!r}")
+    x_var, theta_var = Var(x), Var(params.theta)
+    gt, gx = grad(_forward_var(spec, theta_var, x_var, y), [theta_var, x_var])
+    if what == "grad_theta":
+        return gt.data.copy()
+    if what == "grad_x":
+        return gx.data.reshape(-1).copy()
+    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
+    first, wrt, size = (gt, x_var, spec.d_theta) if what == "jvp" else (gx, theta_var, spec.d_x)
+    if vec.size != size:
+        raise ShapeError(f"{what} vector length {vec.size} != {size}")
+    (out,) = grad(ad.dot(first, Var(vec)), [wrt])
+    return out.data.reshape(-1).copy()
+
 
 
 def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=None, delta=None):

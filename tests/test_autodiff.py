@@ -93,6 +93,41 @@ def test_im2col_col2im_are_adjoint():
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
+# LeNet's four conv layers, plus stride 1 and wider padding
+CONV_GEOMETRIES = [((1, 28, 28), 5, 2, 2), ((12, 14, 14), 5, 2, 2), ((12, 7, 7), 5, 2, 2),
+                   ((12, 4, 4), 5, 2, 2), ((3, 8, 8), 3, 1, 1), ((2, 5, 5), 2, 1, 0),
+                   ((2, 6, 6), 3, 2, 3)]
+
+
+def padded_patch_index(in_shape, k, s, p):
+    """Patch indices into the zero-padded image, the form np.add.at scattered into."""
+    c, h, w = in_shape
+    hp, wp = h + 2 * p, w + 2 * p
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    ci, ki, kj = np.meshgrid(np.arange(c), np.arange(k), np.arange(k), indexing="ij")
+    oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    ii = ki.reshape(-1, 1) + (oi * s).reshape(1, -1)
+    jj = kj.reshape(-1, 1) + (oj * s).reshape(1, -1)
+    return ci.reshape(-1, 1) * (hp * wp) + ii * wp + jj, (c, hp, wp)
+
+
+@pytest.mark.parametrize("in_shape,k,s,p", CONV_GEOMETRIES)
+def test_im2col_col2im_match_padded_add_at(in_shape, k, s, p):
+    # the bincount scatter sums each pixel in the order np.add.at did: bit for bit
+    idx, pad_shape = padded_patch_index(in_shape, k, s, p)
+    _, h, w = in_shape
+    x = RNG.normal(size=in_shape)
+    xpad = np.zeros(pad_shape)
+    xpad[:, p:p + h, p:p + w] = x
+    assert np.array_equal(ad.im2col_data(x, k, s, p), xpad.reshape(-1)[idx])
+    cols = RNG.normal(size=idx.shape)
+    flat = np.zeros(xpad.size)
+    np.add.at(flat, idx.reshape(-1), cols.reshape(-1))
+    expect = flat.reshape(pad_shape)[:, p:p + h, p:p + w]
+    assert np.array_equal(ad.col2im_data(cols, in_shape, k, s, p), expect)
+    assert np.array_equal(ad.col2im(Var(cols), in_shape, k, s, p).data, expect)
+
+
 def test_shared_subexpression_diamond():
     # regression for gradient accumulation order: y = (x*x) used twice
     x = Var(np.array([1.5, -0.5]))

@@ -205,3 +205,45 @@ def test_rerun_byte_identical(tmp_path):
     second = {f: open(tmp_path / "out" / f, "rb").read()
               for f in os.listdir(tmp_path / "out")}
     assert first == second and any(f.endswith(".csv") for f in first)
+
+
+ATTACK_RUNNERS = {
+    "eigen-defense": (experiments.run_eigen_defense,
+                      {"perturbations": [{"kind": "singular_direction", "scale": 0.05}],
+                       "eigen_directions": 2, "samples": 1}),
+    "fairness": (experiments.run_fairness, {"samples": 2}),
+    "init-compare": (experiments.run_init_compare,
+                     {"samples": 1, "repetitions": 1, "init_schemes": ["uniform", "xavier"]}),
+    "efficiency": (lambda c: experiments.run_efficiency(c, n_seeds=2, learning_rates=(0.1,)),
+                   {}),
+}
+
+
+def csv_data(out_dir):
+    """Every CSV in out_dir without its comment lines (they hold the config hash)."""
+    return {f: [l for l in open(os.path.join(out_dir, f)).read().splitlines()
+                if not l.startswith("#")]
+            for f in sorted(os.listdir(out_dir)) if f.endswith(".csv")}
+
+
+def run_attack_runner(tmp_path, name, tag, **attack):
+    run, over = ATTACK_RUNNERS[name]
+    out = str(tmp_path / f"{name}-{tag}")
+    doc = base_doc(out, attack={"kind": "dgl", "iterations": 40, **attack}, **over)
+    run(load_config(write_doc(tmp_path, doc, f"{name}-{tag}.json")))
+    return csv_data(out)
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_RUNNERS))
+def test_default_adam_settings_leave_csvs_unchanged(tmp_path, name):
+    # the attack block's defaults spelled out give the same bytes as leaving them out
+    implicit = run_attack_runner(tmp_path, name, "implicit")
+    explicit = run_attack_runner(tmp_path, name, "explicit", beta1=0.9, beta2=0.999,
+                                 adam_eps=1e-8)
+    assert implicit == explicit and implicit
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_RUNNERS))
+def test_attack_beta1_takes_effect(tmp_path, name):
+    assert run_attack_runner(tmp_path, name, "default") != \
+        run_attack_runner(tmp_path, name, "beta1", beta1=0.5)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradleak import (
     InitScheme,
@@ -129,6 +130,28 @@ def test_lower_bound_ordering_property():
             exact = i2f_exact(op, delta, SolverConfig(mode="dense", epsilon=0.0)).exact_value
             lb = i2f_lower_bound(op, delta).lower_bound
             assert lb <= exact + 1e-8
+
+
+def one_layer_operator(seed):
+    spec = one_layer_model(5, "sigmoid", 0.3)
+    params = initialize_parameters(spec, InitScheme("uniform", seed))
+    x = np.random.Generator(np.random.PCG64(seed)).uniform(0, 1, 5)
+    return MixedJacobianOperator(spec, params, x, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([linear_operator, one_layer_operator, mlp_operator]),
+       st.integers(0, 10 ** 6), st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+def test_damped_lower_bound_ordering_property(make_op, seed, eps):
+    # ||J delta|| / (lambda_max + eps) <= ||(J J^T + eps I)^{-1} J delta|| for every solver
+    op = make_op(seed=seed % 50)
+    delta = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_theta)
+    lb = i2f_lower_bound(op, delta, seed=seed, epsilon=eps)
+    if not lb.converged:
+        return
+    for mode in ("dense", "conjugate_gradient", "gradient_descent", "neumann"):
+        rep = i2f_exact(op, delta, SolverConfig(mode=mode, epsilon=eps, max_iters=5000))
+        assert lb.lower_bound <= rep.exact_value * (1 + 1e-8) + 1e-12, mode
 
 
 def test_svd_identity_and_singular_direction_response():

@@ -1,0 +1,192 @@
+"""The graph-free mixed-Jacobian kernel against the autodiff engine.
+
+Random layer stacks cover every layer kind the kernel has a rule for:
+Linear, Conv2d over several kernel/stride/padding values, each
+activation, Flatten and all three losses.  The engine builds the same
+quantities as graphs; both are float64, so they must agree to a
+tolerance fixed here, relative to the largest entry of the engine's
+value.  Second-order values of a cross-entropy model get that tolerance
+divided by 1 - max softmax probability: the loss Hessian diag(p) - p p^T
+cancels to that size, so both routes keep only that many correct digits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradleak import autodiff as ad
+from gradleak.attacks import ZeroGradientError, _objective_grad
+from gradleak.autodiff import Var, grad
+from gradleak.models import (
+    ACTIVATIONS,
+    LOSS_KINDS,
+    Activation,
+    Conv2d,
+    Flatten,
+    InitScheme,
+    Linear,
+    MixedJacobianOperator,
+    ModelSpec,
+    ParameterSet,
+    _forward_var,
+    build_model,
+    engine_oracle,
+    forward_loss,
+    initialize_parameters,
+    one_layer_model,
+    parameter_slots,
+)
+
+TOL = 1e-10
+
+
+def assert_close(value, ref, scale=None, cond=1.0):
+    value, ref = np.asarray(value).reshape(-1), np.asarray(ref).reshape(-1)
+    assert value.shape == ref.shape
+    if scale is None:
+        scale = np.abs(ref).max(initial=0.0)
+    assert np.abs(value - ref).max(initial=0.0) <= TOL * scale * cond
+
+
+def hessian_condition(spec, params, x):
+    """1 / (1 - max softmax probability) for cross-entropy, else 1.  Each
+    class's probability is exp(-loss) at that label, and 1 - p_max is the
+    sum of the others, which keeps it accurate when p_max is near 1."""
+    if spec.loss != "cross_entropy":
+        return 1.0
+    p = np.sort([np.exp(-forward_loss(spec, params, x, k)) for k in range(spec.num_classes)])
+    return 1.0 / p[:-1].sum()
+
+
+def engine_objective_grad(spec, params, x, y, g_target, kind):
+    """The DGL/GS step as one autodiff graph: objective, then its x-gradient."""
+    x_var, theta_var = Var(x), Var(params.theta)
+    (gt,) = grad(_forward_var(spec, theta_var, x_var, y), [theta_var])
+    if kind == "dgl":
+        r = ad.sub(gt, Var(g_target))
+        obj = ad.sum_all(ad.mul(r, r))
+    else:
+        if float(np.linalg.norm(gt.data)) == 0.0:
+            raise ZeroGradientError("synthesized gradient vanished")
+        cos = ad.div(ad.dot(gt, Var(g_target)),
+                     ad.mul(ad.sqrt(ad.dot(gt, gt)), Var(np.linalg.norm(g_target))))
+        obj = ad.sub(Var(1.0), cos)
+    (gx,) = grad(obj, [x_var])
+    return float(obj.data), gx.data
+
+
+@st.composite
+def model_cases(draw):
+    """(spec, params, x, y, rng) for a random layer stack and loss."""
+    acts = sorted(ACTIVATIONS)
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    layers = []
+    if draw(st.booleans()):
+        size = draw(st.integers(3, 7))
+        shape = input_shape = (draw(st.integers(1, 2)), size, size)
+        for _ in range(draw(st.integers(1, 2))):
+            padding = draw(st.integers(0, 2))
+            kernel = draw(st.integers(1, min(3, shape[1] + 2 * padding)))
+            stride = draw(st.integers(1, 2))
+            out_channels = draw(st.integers(1, 3))
+            layers += [Conv2d(shape[0], out_channels, kernel, stride, padding),
+                       Activation(draw(st.sampled_from(acts)))]
+            _, _, (oh, ow) = ad.conv_geometry(shape, kernel, stride, padding)
+            shape = (out_channels, oh, ow)
+        layers.append(Flatten())
+        width = int(np.prod(shape))
+    else:
+        width = draw(st.integers(1, 6))
+        input_shape = (width,)
+    for _ in range(draw(st.integers(0, 2))):
+        out = draw(st.integers(1, 5))
+        layers += [Linear(width, out), Activation(draw(st.sampled_from(acts)))]
+        width = out
+    n_out = draw(st.integers(2, 4))
+    layers.append(Linear(width, n_out))
+    loss = draw(st.sampled_from(LOSS_KINDS))
+    if loss != "cross_entropy" and draw(st.booleans()):
+        layers.append(Activation(draw(st.sampled_from(acts))))
+    spec = build_model(ModelSpec(layers, loss, input_shape, num_classes=n_out,
+                                 target=rng.normal(size=n_out) if loss == "squared_error" else None))
+    params = initialize_parameters(spec, InitScheme("xavier", 0))
+    params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
+    x = rng.uniform(-1.0, 1.0, size=input_shape)
+    y = int(rng.integers(n_out)) if loss == "cross_entropy" else None
+    return spec, params, x, y, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_cases())
+def test_kernel_matches_engine(case):
+    spec, params, x, y, rng = case
+    op = MixedJacobianOperator(spec, params, x, y)
+    cond = hessian_condition(spec, params, x)
+    assert_close(op.g_theta, engine_oracle(spec, params, x, y, "grad_theta"))
+    assert_close(op.g_x, engine_oracle(spec, params, x, y, "grad_x"))
+    delta = rng.normal(size=spec.d_theta)
+    b = rng.normal(size=spec.d_x)
+    jd, jtb = op.jvp(delta), op.vjp(b)
+    assert_close(jd, engine_oracle(spec, params, x, y, "jvp", delta), cond=cond)
+    assert_close(jtb, engine_oracle(spec, params, x, y, "vjp", b), cond=cond)
+    lhs = float(jd @ b)
+    assert abs(lhs - float(delta @ jtb)) <= TOL * (1.0 + abs(lhs))
+
+    g_target = rng.normal(size=spec.d_theta)
+    for kind in ("dgl", "gs"):
+        try:
+            ref_obj, ref_gx = engine_objective_grad(spec, params, x, y, g_target, kind)
+        except ZeroGradientError:
+            with pytest.raises(ZeroGradientError):
+                _objective_grad(spec, params, x, y, g_target, kind)
+            continue
+        obj, gx = _objective_grad(spec, params, x, y, g_target, kind)
+        assert abs(obj - ref_obj) <= TOL * max(abs(ref_obj), 1.0)
+        assert gx.shape == x.shape
+        scale = None
+        if kind == "gs":
+            # d(1 - cos)/dg = cos g/|g|^2 - g*/(|g||g*|): the two terms cancel
+            # exactly where cos is flat in x, so compare against their size
+            g = op.g_theta
+            gn, tn = np.linalg.norm(g), np.linalg.norm(g_target)
+            cos = float(g @ g_target) / (gn * tn)
+            scale = max(np.abs(op.jvp(cos / gn ** 2 * g)).max(),
+                        np.abs(op.jvp(g_target / (gn * tn))).max())
+        assert_close(gx, ref_gx, scale, cond)
+
+
+@settings(max_examples=30, deadline=None)
+@given(model_cases(), st.data())
+def test_non_finite_activation_names_the_layer(case, data):
+    spec, params, x, y, _ = case
+    slots = parameter_slots(spec)
+    layer, off, _ = slots[data.draw(st.integers(0, len(slots) - 1))]
+    theta = params.theta.copy()
+    theta[off] = np.inf
+    broken = ParameterSet(theta, params.slots)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError) as engine_err:
+            forward_loss(spec, broken, x, y)
+        with pytest.raises(FloatingPointError, match=f"after layer {layer} ") as kernel_err:
+            MixedJacobianOperator(spec, broken, x, y)
+    assert str(kernel_err.value) == str(engine_err.value)
+
+
+def test_relu_kink_has_zero_derivative():
+    # theta . x == 0 exactly: the engine's relu'(0) = 0 convention
+    spec = one_layer_model(2, "relu", 0.5)
+    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([1.0, -1.0])
+    x = np.array([0.25, 0.25])
+    op = MixedJacobianOperator(spec, params, x, None)
+    assert not op.g_theta.any() and not op.g_x.any()
+    d = np.array([0.3, -0.7])
+    np.testing.assert_array_equal(op.jvp(d), engine_oracle(spec, params, x, None, "jvp", d))
+
+
+def test_engine_oracle_rejects_bad_requests():
+    spec = one_layer_model(3)
+    params = initialize_parameters(spec, InitScheme("uniform", 0))
+    with pytest.raises(ValueError, match="unknown oracle target"):
+        engine_oracle(spec, params, np.zeros(3), None, "hvp", np.zeros(3))
+    with pytest.raises(ValueError, match="length 2"):
+        engine_oracle(spec, params, np.zeros(3), None, "vjp", np.zeros(2))
