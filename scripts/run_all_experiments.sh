@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full desk-scale experiment suite; writes CSVs (and PGM dumps) under out/.
-# Roughly 15 minutes on one CPU core.  Individual runs below can be
+# About 5 minutes on a 2-core x86_64 host.  Individual runs below can be
 # invoked on their own; every one accepts --seed/--out/--limit overrides.
 set -e
 cd "$(dirname "$0")/.."

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .influence import dense_spectrum
 from .models import MixedJacobianOperator, _require_built
 
 
@@ -200,14 +201,9 @@ def prune_gradient(g, ratio):
 def singular_direction_perturbation(operator: MixedJacobianOperator, which, scale=1.0,
                                     budget=10_000_000):
     """Perturbation along the right singular vector of J with the
-    `which`-th largest singular value; lives in parameter space."""
-    from .influence import _dense_from_operator, RANK_THRESHOLD_REL
-
+    `which`-th largest singular value; lives in parameter space.  Raises
+    IndexError unless 0 <= which < rank(J)."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    J = _dense_from_operator(operator, budget)
-    u, s, vt = np.linalg.svd(J, full_matrices=False)
-    rank = int(np.sum(s > RANK_THRESHOLD_REL * (s[0] if s.size else 0.0)))
-    if not 0 <= which < rank:
-        raise IndexError(f"singular index {which} out of range for rank {rank}")
-    return scale * vt[which], float(s[which])
+    rep = dense_spectrum(operator, budget)
+    return scale * rep.right_vector(which), float(rep.singular_values[which])

@@ -161,7 +161,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             adam_eps=float(_take(a, "adam_eps", 1e-8)),
             dummy_init=_take(a, "dummy_init", "uniform01"),
             box_projection=_take(a, "box_projection"),
-            seed=int(_take(a, "seed", 0)),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e

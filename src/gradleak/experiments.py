@@ -16,13 +16,12 @@ import time
 import numpy as np
 
 from . import models as zoo
-from .attacks import gaussian_perturbation, prune_gradient, run_attack
+from .attacks import gaussian_perturbation, prune_gradient, run_attack, singular_direction_perturbation
 from .config import ConfigError, ExperimentConfig, job_seed
 from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
     MixedJacobianOperator,
     SolverConfig,
-    _dense_from_operator,
     dense_spectrum,
     expected_gaussian_risk,
     i2f_exact,
@@ -146,11 +145,10 @@ def _realize_perturbation(pert, op, g0, seed):
     if pert.kind == "prune":
         _, delta = prune_gradient(g0, pert.ratio)
         return delta, pert.ratio
-    J = _dense_from_operator(op, budget=10_000_000)
-    _, s, vt = np.linalg.svd(J, full_matrices=False)
-    if pert.index >= s.size:
-        raise ConfigError(f"singular direction index {pert.index} out of range")
-    return pert.scale * vt[pert.index], float(s[pert.index])
+    try:
+        return singular_direction_perturbation(op, pert.index, pert.scale)
+    except IndexError as e:
+        raise ConfigError(str(e)) from e
 
 
 def run_audit(cfg: ExperimentConfig):
@@ -200,11 +198,10 @@ def run_eigen_defense(cfg: ExperimentConfig):
     n = min(cfg.samples, len(dataset))
     params = initialize_parameters(spec, cfg.init)
     for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
-        J = _dense_from_operator(op, budget=10_000_000)
-        _, s, vt = np.linalg.svd(J, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        for di in _direction_indices(rank, cfg.eigen_directions):
-            delta = scale * vt[di]
+        rep = dense_spectrum(op)
+        s = rep.singular_values
+        for di in _direction_indices(rep.rank, cfg.eigen_directions):
+            delta = scale * rep.right_vector(di)
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, di))
             res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
             if cfg.dump_images:
@@ -275,9 +272,7 @@ def run_init_compare(cfg: ExperimentConfig):
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
         for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
-            spectrum = dense_spectrum(op)
-            nonzero = spectrum.eigenvalues[spectrum.eigenvalues > spectrum.rank_threshold]
-            exp_risk = float(variance * np.sum(1.0 / nonzero))
+            exp_risk = expected_gaussian_risk(dense_spectrum(op), variance)
             for rep in range(cfg.repetitions):
                 seed = job_seed(cfg.seed, scheme_idx, si, rep)
                 _, delta = gaussian_perturbation(op.g_theta, variance, seed=seed)

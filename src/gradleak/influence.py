@@ -11,6 +11,7 @@ from the Lipschitz constants of the gradient and the Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class SpectrumReport:
     singular_values: np.ndarray  # sqrt of the above
     rank: int
     rank_threshold: float
+    J: np.ndarray | None = None  # the dense mixed Jacobian, d_x x d_theta
+    U: np.ndarray | None = None  # eigenvectors of J J^T, columns in eigenvalue order
+
+    def right_vector(self, i):
+        """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank."""
+        if not 0 <= i < self.rank:
+            raise IndexError(f"singular index {i} out of range for rank {self.rank}")
+        return self.J.T @ self.U[:, i] / self.singular_values[i]
 
 RANK_THRESHOLD_REL = 1e-10  # eigenvalue below this fraction of the max counts as zero
 
@@ -178,12 +187,15 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9,
 
 
 def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000) -> SpectrumReport:
+    """The one factorization of J: eigendecomposition of the d_x x d_x
+    Gram matrix J J^T, whose eigenvectors are J's left singular vectors."""
     J = _dense_from_operator(operator, budget)
-    eig = np.linalg.eigvalsh(J @ J.T)[::-1]
-    eig = np.clip(eig, 0.0, None)
+    eig, U = np.linalg.eigh(J @ J.T)
+    eig, U = np.clip(eig[::-1], 0.0, None), U[:, ::-1]
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)
     rank = int(np.sum(eig > thresh))
-    return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank, rank_threshold=thresh)
+    return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank,
+                          rank_threshold=thresh, J=J, U=U)
 
 
 class SingularSpectrumError(ValueError):
@@ -248,18 +260,9 @@ def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0,
         op1 = MixedJacobianOperator(spec, params, x, y)
         op2 = MixedJacobianOperator(spec, params, x2, y)
         mu_l = max(mu_l, float(np.linalg.norm(op1.g_theta - op2.g_theta) / dist))
-        # operator norm of (J - J') by power iteration on the difference
-        v = rng.normal(size=spec.d_x)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(power_iters):
-            w = op1.vjp(v) - op2.vjp(v)
-            av = op1.jvp(w) - op2.jvp(w)
-            lam = float(v @ av)
-            nrm = np.linalg.norm(av)
-            if nrm == 0.0:
-                lam = 0.0
-                break
-            v = av / nrm
+        diff = SimpleNamespace(d_x=spec.d_x, jvp=lambda v: op1.jvp(v) - op2.jvp(v),
+                               vjp=lambda b: op1.vjp(b) - op2.vjp(b))  # J - J'
+        lam, _, _, _ = lambda_max_power_iteration(diff, iters=power_iters,
+                                                  seed=int(rng.integers(2 ** 63)))
         mu_j = max(mu_j, float(np.sqrt(max(lam, 0.0)) / dist))
     return LipschitzEstimate(mu_l=mu_l, mu_j=mu_j, n_pairs=n_pairs, radius=radius)

@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, experiment runners, and the built-in
 validation suite (including its mutation check)."""
 
+import dataclasses
 import json
 import os
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from gradleak.cli import main
-from gradleak.config import ConfigError, job_seed, load_config, parse_config
+from gradleak.config import ConfigError, PerturbationConfig, job_seed, load_config, parse_config
 from gradleak import experiments
+from gradleak.data import Dataset, Sample, write_idx
+from gradleak.influence import SingularSpectrumError
+from gradleak.models import InitScheme, MixedJacobianOperator, initialize_parameters, one_layer_model
 
 
 def base_doc(out_dir, **over):
@@ -247,3 +251,39 @@ def test_default_adam_settings_leave_csvs_unchanged(tmp_path, name):
 def test_attack_beta1_takes_effect(tmp_path, name):
     assert run_attack_runner(tmp_path, name, "default") != \
         run_attack_runner(tmp_path, name, "beta1", beta1=0.5)
+
+
+def test_attack_seed_is_rejected(tmp_path, capsys):
+    # every runner seeds each attack from its job, so the key would be a no-op
+    doc = base_doc(str(tmp_path / "out"), attack={"kind": "dgl", "iterations": 10, "seed": 5})
+    with pytest.raises(ConfigError, match=r"unknown keys in attack: \['seed'\]"):
+        parse_config(doc)
+    assert main(["audit", "--config", write_doc(tmp_path, doc)]) == 2
+    assert "unknown keys in attack" in capsys.readouterr().err
+
+
+def test_singular_direction_index_is_checked_against_rank():
+    # residual 0, so J = x theta^T has rank 1: index 1 would be a null-space direction
+    spec = one_layer_model(3, "identity", 0.0)
+    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
+    pert = PerturbationConfig(kind="singular_direction", index=1, scale=2.0)
+    with pytest.raises(ConfigError, match="out of range for rank 1"):
+        experiments._realize_perturbation(pert, op, op.g_theta, 0)
+    delta, sigma = experiments._realize_perturbation(
+        dataclasses.replace(pert, index=0), op, op.g_theta, 0)
+    assert abs(np.linalg.norm(delta) - 2.0) < 1e-12
+    assert abs(np.linalg.norm(op.jvp(delta)) - 2.0 * sigma) < 1e-12 * sigma
+
+
+def test_init_compare_rejects_singular_spectrum(tmp_path):
+    # black images under a zero-target identity unit: residual 0 and x = 0, so J = 0
+    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0, f"zero:{i}") for i in range(2)),
+                    3, (1, 3, 3))
+    ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+    write_idx(zeros, ip, lp)
+    doc = base_doc(str(tmp_path / "out"), samples=1, repetitions=1, init_schemes=["uniform"],
+                   model={"kind": "one_layer", "d": 9, "activation": "identity", "target": 0.0},
+                   data={"kind": "idx", "images_path": ip, "labels_path": lp, "num_classes": 3})
+    with pytest.raises(SingularSpectrumError):
+        experiments.run_init_compare(load_config(write_doc(tmp_path, doc)))

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradleak import (
+    Activation,
+    Conv2d,
+    Flatten,
     InitScheme,
+    Linear,
     MixedJacobianOperator,
+    ModelSpec,
     SolverConfig,
+    build_model,
     dense_spectrum,
     estimate_lipschitz,
     expected_gaussian_risk,
@@ -23,6 +29,7 @@ from gradleak import (
     one_layer_model,
     theorem_bound,
 )
+from gradleak.autodiff import conv_geometry
 from gradleak.data import synthetic_samples
 from gradleak.influence import SingularSpectrumError, _dense_from_operator
 
@@ -242,3 +249,73 @@ def test_solver_config_validation():
         SolverConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+
+
+# dense_spectrum factors the Gram matrix J J^T, whose rounding error is about
+# eps * sigma_0^2.  Divided back by sigma_i (or sigma_i sigma_j) and by the
+# eigen-gap, that scales each check below by kappa_i = sigma_0 / sigma_i;
+# SPECTRAL_TOL is the constant in front, about 4500 float64 ulps.
+SPECTRAL_TOL = 1e-12
+
+
+@st.composite
+def small_stacks(draw):
+    """A dense-spectrum operator for a small Linear, MLP or Conv2d stack."""
+    acts = ["sigmoid", "tanh", "relu", "identity"]
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    n_out = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["linear", "mlp", "conv"]))
+    if kind == "conv":
+        size, channels = draw(st.integers(3, 6)), draw(st.integers(1, 2))
+        kernel, stride = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        padding = draw(st.integers(0, 1))
+        out_channels = draw(st.integers(1, 3))
+        _, _, (oh, ow) = conv_geometry((channels, size, size), kernel, stride, padding)
+        layers = [Conv2d(channels, out_channels, kernel, stride, padding),
+                  Activation(draw(st.sampled_from(acts))), Flatten(),
+                  Linear(out_channels * oh * ow, n_out)]
+        input_shape = (channels, size, size)
+    else:
+        d = draw(st.integers(2, 8))
+        layers = [Linear(d, n_out)]
+        if kind == "mlp":
+            hidden = draw(st.integers(2, 8))
+            layers = [Linear(d, hidden), Activation(draw(st.sampled_from(acts))),
+                      Linear(hidden, n_out)]
+        input_shape = (d,)
+    spec = build_model(ModelSpec(layers, "cross_entropy", input_shape, num_classes=n_out))
+    params = initialize_parameters(spec, InitScheme("xavier", 0))
+    params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
+    x = rng.uniform(-1.0, 1.0, size=input_shape)
+    return MixedJacobianOperator(spec, params, x, int(rng.integers(n_out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_stacks())
+def test_right_vector_matches_svd_property(op):
+    rep = dense_spectrum(op)
+    J, r = rep.J, rep.rank
+    _, s, vt = np.linalg.svd(J, full_matrices=False)  # the independent oracle
+    for bad in (r, -1):
+        with pytest.raises(IndexError):
+            rep.right_vector(bad)
+    if r == 0:
+        return
+    sigma = rep.singular_values[:r]
+    kappa = s[0] / sigma
+    np.testing.assert_array_less(np.abs(sigma - s[:r]), SPECTRAL_TOL * kappa * s[0])
+    V = np.stack([rep.right_vector(i) for i in range(r)])
+    # ||J v_i|| = sigma_i
+    np.testing.assert_array_less(np.abs(np.linalg.norm(J @ V.T, axis=0) - sigma),
+                                 SPECTRAL_TOL * kappa * s[0])
+    # orthonormal
+    np.testing.assert_array_less(np.abs(V @ V.T - np.eye(r)),
+                                 SPECTRAL_TOL * np.outer(kappa, kappa))
+    # v_i = +-vt[i] wherever lambda_i is separated from the rest of the spectrum
+    lam = s ** 2
+    for i in range(r):
+        gap = np.min(np.abs(np.delete(lam, i) - lam[i]), initial=lam[0])
+        if gap < 1e-6 * lam[0]:
+            continue
+        err = min(np.abs(V[i] - vt[i]).max(), np.abs(V[i] + vt[i]).max())
+        assert err <= SPECTRAL_TOL * kappa[i] * lam[0] / gap, (i, err, gap)
