@@ -12,6 +12,7 @@ import dataclasses
 import sys
 
 from .config import ConfigError, load_config
+from .influence import SingularSpectrumError
 from . import experiments
 
 
@@ -63,6 +64,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except SingularSpectrumError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"wrote results to {cfg.output_dir}")
     return 0
 

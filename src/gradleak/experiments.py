@@ -21,6 +21,7 @@ from .config import ConfigError, ExperimentConfig, job_seed
 from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
     MixedJacobianOperator,
+    SingularSpectrumError,
     SolverConfig,
     dense_spectrum,
     expected_gaussian_risk,
@@ -199,6 +200,9 @@ def run_eigen_defense(cfg: ExperimentConfig):
     params = initialize_parameters(spec, cfg.init)
     for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
         rep = dense_spectrum(op)
+        if rep.rank == 0:
+            raise SingularSpectrumError(f"J has rank 0 at sample {si}: "
+                                        "no singular direction to perturb along")
         s = rep.singular_values
         for di in _direction_indices(rep.rank, cfg.eigen_directions):
             delta = scale * rep.right_vector(di)
@@ -272,7 +276,14 @@ def run_init_compare(cfg: ExperimentConfig):
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
         for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
-            exp_risk = expected_gaussian_risk(dense_spectrum(op), variance)
+            spectrum = dense_spectrum(op)
+            try:
+                exp_risk = expected_gaussian_risk(spectrum, variance)
+            except SingularSpectrumError as e:
+                raise SingularSpectrumError(
+                    f"J has rank {spectrum.rank} < d_x = {op.d_x} under init scheme "
+                    f"{scheme_kind!r} at sample {si}: the expected risk needs a "
+                    "full-rank J") from e
             for rep in range(cfg.repetitions):
                 seed = job_seed(cfg.seed, scheme_idx, si, rep)
                 _, delta = gaussian_perturbation(op.g_theta, variance, seed=seed)
@@ -285,7 +296,7 @@ def run_init_compare(cfg: ExperimentConfig):
 
 
 def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0.1, 0.05, 0.01)):
-    """Power-iteration convergence traces vs. attack-loss traces.
+    """Lanczos Ritz-value traces of lambda_max vs. attack-loss traces.
 
     Iteration traces go into the CSV (deterministic); wall-clock numbers
     go into a sidecar timings file, which reruns may legitimately change.

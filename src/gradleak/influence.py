@@ -57,38 +57,50 @@ class SpectrumReport:
     U: np.ndarray | None = None  # eigenvectors of J J^T, columns in eigenvalue order
 
     def right_vector(self, i):
-        """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank."""
+        """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank,
+        signed so that its largest-magnitude entry (the first, on ties) is
+        positive: the sign of a singular pair is otherwise LAPACK's choice."""
         if not 0 <= i < self.rank:
             raise IndexError(f"singular index {i} out of range for rank {self.rank}")
-        return self.J.T @ self.U[:, i] / self.singular_values[i]
+        v = self.J.T @ self.U[:, i] / self.singular_values[i]
+        return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 RANK_THRESHOLD_REL = 1e-10  # eigenvalue below this fraction of the max counts as zero
 
 
 def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1e-9, seed=0):
-    """Largest eigenvalue of J J^T via v <- J (J^T v), Rayleigh quotient."""
+    """Largest eigenvalue of J J^T: the top Ritz value of a fully
+    reorthogonalized Lanczos iteration on v -> J (J^T v).
+
+    Returns (lam, iterations, converged, trace); trace[k] is the top Ritz
+    value of the (k+1)-dimensional Krylov space, which holds the k-th power
+    iterate, so it is at least that iterate's Rayleigh quotient and never
+    above lambda_max.  Converged means the residual ||A y - theta y|| =
+    beta_k |s_k| is at most tol * theta, or the Krylov space is exhausted.
+    """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.normal(size=operator.d_x)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    converged = False
-    trace = []
-    for it in range(1, iters + 1):
-        av = operator.jvp(operator.vjp(v))
-        lam_new = float(v @ av)
-        nrm = np.linalg.norm(av)
-        if nrm == 0.0:
-            return 0.0, it, True, [0.0]
-        v = av / nrm
-        trace.append(lam_new)
-        if it > 1 and abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            converged = True
-            break
-        lam = lam_new
-    return lam, len(trace), converged, trace
+    q = rng.normal(size=operator.d_x)
+    Q = (q / np.linalg.norm(q))[None, :]  # orthonormal Krylov basis, one row per step
+    alpha, beta, trace = [], [], []
+    for k in range(1, iters + 1):
+        w = operator.jvp(operator.vjp(Q[-1]))
+        h = Q @ w
+        w = w - Q.T @ h
+        h2 = Q @ w  # second Gram-Schmidt pass: twice is enough
+        w = w - Q.T @ h2
+        alpha.append(float(h[-1] + h2[-1]))
+        b = float(np.linalg.norm(w))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        lam = float(theta[-1])
+        trace.append(lam)
+        if b == 0.0 or k == operator.d_x or b * abs(S[-1, -1]) <= tol * lam:
+            return lam, k, True, trace
+        beta.append(b)
+        Q = np.vstack([Q, w / b])
+    return lam, iters, False, trace
 
 
 def _normal_matvec(operator, eps):
@@ -174,7 +186,7 @@ def _conjugate_gradient(matvec, c, max_iters, tol):
 def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
                     epsilon=0.0) -> I2FReport:
     """||J delta|| / (lambda_max(J J^T) + epsilon), the cheap floor under
-    ||(J J^T + epsilon I)^{-1} J delta||.  Power iteration approaches
+    ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value approaches
     lambda_max from below, so the floor holds once it has `converged`."""
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     lam, n_it, converged, _ = lambda_max_power_iteration(operator, iters=iters, tol=tol, seed=seed)

@@ -466,7 +466,9 @@ def _loss_rule(spec, out, y):
         p = e * (1.0 / e.sum())
         c = p.copy()
         c[int(y)] -= 1.0
-        return c, lambda d: p * d - p * (p @ d)
+        # (diag(p) - p p^T) d as p_i sum_j p_j (d_i - d_j): the form
+        # p * d - p * (p @ d) cancels to 1 - p_max on a saturated softmax
+        return c, lambda d: p * ((d[:, None] - d) @ p)
     if spec.loss == "squared_error":
         return out - spec.target, lambda d: d
     return np.ones_like(out), lambda d: None  # sum_output

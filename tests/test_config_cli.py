@@ -4,6 +4,8 @@ validation suite (including its mutation check)."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,3 +289,43 @@ def test_init_compare_rejects_singular_spectrum(tmp_path):
                    data={"kind": "idx", "images_path": ip, "labels_path": lp, "num_classes": 3})
     with pytest.raises(SingularSpectrumError):
         experiments.run_init_compare(load_config(write_doc(tmp_path, doc)))
+
+
+def zero_jacobian_config(tmp_path, **over):
+    """The all-black IDX images of test_init_compare_rejects_singular_spectrum
+    under a zero-target identity unit, so J = 0."""
+    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0, f"zero:{i}") for i in range(2)),
+                    3, (1, 3, 3))
+    ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+    write_idx(zeros, ip, lp)
+    doc = base_doc(str(tmp_path / "out"), samples=1, repetitions=1, init_schemes=["uniform"],
+                   model={"kind": "one_layer", "d": 9, "activation": "identity", "target": 0.0},
+                   data={"kind": "idx", "images_path": ip, "labels_path": lp, "num_classes": 3},
+                   **over)
+    return write_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("runner, message", [
+    ("eigen-defense", "J has rank 0 at sample 0"),
+    ("init-compare", "J has rank 0 < d_x = 9 under init scheme 'uniform' at sample 0"),
+])
+def test_cli_singular_spectrum_exit_1(tmp_path, capsys, runner, message):
+    # eigen-defense has no direction on a rank-0 J; init-compare's risk is infinite
+    path = zero_jacobian_config(tmp_path,
+                                perturbations=[{"kind": "singular_direction", "scale": 0.05}])
+    assert main([runner, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err and "epsilon" not in err
+
+
+def test_python_dash_m_runs_validate():
+    import gradleak
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradleak.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "gradleak", "validate"], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS ") and "FAIL" not in proc.stdout

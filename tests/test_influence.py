@@ -1,7 +1,9 @@
 """Metric layer: frozen 2x2 values, solver agreement, spectral identities,
 the Gaussian-expectation identity, and the certified bound."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -319,3 +321,59 @@ def test_right_vector_matches_svd_property(op):
             continue
         err = min(np.abs(V[i] - vt[i]).max(), np.abs(V[i] + vt[i]).max())
         assert err <= SPECTRAL_TOL * kappa[i] * lam[0] / gap, (i, err, gap)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_stacks())
+def test_right_vector_sign_convention_property(op):
+    # the sign of each singular pair is LAPACK's choice; right_vector fixes it
+    rep = dense_spectrum(op)
+    flipped = dataclasses.replace(rep, U=-rep.U)
+    for i in range(rep.rank):
+        v = rep.right_vector(i)
+        assert v[np.argmax(np.abs(v))] > 0
+        np.testing.assert_array_equal(flipped.right_vector(i), v)
+
+
+def power_iteration_trace(op, iters, seed):
+    """Plain power iteration's Rayleigh quotients from the same start vector."""
+    v, trace = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_x), []
+    while len(trace) < iters and np.linalg.norm(v) > 0:
+        v = v / np.linalg.norm(v)
+        av = op.jvp(op.vjp(v))
+        trace.append(float(v @ av))
+        v = av
+    return trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_stacks(), st.integers(0, 2 ** 32 - 1))
+def test_lanczos_lambda_max_property(op, seed):
+    lam, its, conv, trace = lambda_max_power_iteration(op, seed=seed)
+    assert len(trace) == its and lam == trace[-1]
+    # the k-dimensional Krylov space holds the k-th power iterate
+    for k, (ritz, rq) in enumerate(zip(trace, power_iteration_trace(op, its, seed))):
+        assert ritz >= rq - 1e-12 * abs(rq), k
+    lam_dense = dense_spectrum(op).eigenvalues[0]
+    assert lam <= lam_dense * (1 + 1e-12)
+    if conv:
+        assert abs(lam - lam_dense) <= 1e-8 * lam_dense
+
+
+def test_lanczos_step_counts():
+    # the frozen J J^T is 2 x 2: the Krylov space is exhausted by step 2
+    lam, its, conv, trace = lambda_max_power_iteration(frozen_operator())
+    assert conv and its <= 2 and abs(lam - LAM_HI) <= 1e-12 * LAM_HI
+    # J J^T = I has one eigenvalue: the first Ritz value is exact
+    assert lambda_max_power_iteration(linear_operator(4))[1:3] == (1, True)
+    # rank 1: span{v, J J^T v} holds the top eigenvector, so step 2 is exact
+    spec = one_layer_model(3, "identity", 0.0)
+    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
+    lam, its, conv, trace = lambda_max_power_iteration(op, iters=1)
+    assert (its, conv) == (1, False) and lam < 7.875
+    lam, its, conv, trace = lambda_max_power_iteration(op)
+    assert (its, conv) == (2, True) and abs(lam - 7.875) <= 1e-12 * 7.875  # |x|^2 |theta|^2
+    # a zero operator
+    zero = SimpleNamespace(d_x=3, jvp=lambda d: np.zeros(3), vjp=lambda b: np.zeros(5))
+    assert lambda_max_power_iteration(zero) == (0.0, 1, True, [0.0])

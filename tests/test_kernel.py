@@ -6,8 +6,9 @@ activation, Flatten and all three losses.  The engine builds the same
 quantities as graphs; both are float64, so they must agree to a
 tolerance fixed here, relative to the largest entry of the engine's
 value.  Second-order values of a cross-entropy model get that tolerance
-divided by 1 - max softmax probability: the loss Hessian diag(p) - p p^T
-cancels to that size, so both routes keep only that many correct digits.
+divided by 1 - max softmax probability: the engine's graph for the loss
+Hessian diag(p) - p p^T cancels to that size, so it keeps only that many
+correct digits (the kernel sums p_j (d_i - d_j) and does not cancel).
 """
 
 import numpy as np
