@@ -15,6 +15,8 @@ returns cotangents as `Var`s belonging to the same graph, so calling
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -281,21 +283,30 @@ def conv_geometry(in_shape, kernel, stride, padding):
 
 
 def im2col_data(x, kernel, stride, padding):
-    """Patch columns of a (C,H,W) array: the gather both autodiff and the
-    graph-free kernel use."""
-    idx, _, _ = conv_geometry(x.shape, kernel, stride, padding)
-    return np.append(x.reshape(-1), 0.0)[idx]
+    """Patch columns of a (C,H,W) array, or of each image of a (k,C,H,W)
+    stack: the gather both autodiff and the graph-free kernel use."""
+    idx, size, _ = conv_geometry(x.shape[-3:], kernel, stride, padding)
+    lead = x.shape[:-3]
+    flat = np.concatenate((x.reshape(lead + (size,)), np.zeros(lead + (1,))), axis=-1)
+    return flat.take(idx, axis=-1)
 
 
 def col2im_data(cols, in_shape, kernel, stride, padding):
-    """Adjoint of im2col_data: scatter-add patch columns back to (C,H,W).
+    """Adjoint of im2col_data: scatter-add patch columns back to the
+    (C,H,W) shape `in_shape`, or each of a (k, rows, positions) stack
+    back to (k,C,H,W).
 
     bincount adds the weights of each bin in index order, as np.add.at
-    does, so the sums are the same bit for bit."""
+    does, so the sums are the same bit for bit; image j of a stack owns
+    the bins from j * (C*H*W + 1) on, each filled in a lone image's order."""
     in_shape = tuple(in_shape)
     idx, size, _ = conv_geometry(in_shape, kernel, stride, padding)
-    flat = np.bincount(idx.reshape(-1), weights=cols.reshape(-1), minlength=size + 1)
-    return flat[:size].reshape(in_shape)
+    lead = cols.shape[:-2]
+    k = math.prod(lead)
+    if k != 1:
+        idx = idx + (size + 1) * np.arange(k).reshape(lead + (1, 1))
+    flat = np.bincount(idx.reshape(-1), weights=cols.reshape(-1), minlength=(size + 1) * k)
+    return flat.reshape(lead + (size + 1,))[..., :size].reshape(lead + in_shape)
 
 
 def im2col(x, kernel, stride, padding):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .models import MixedJacobianOperator, _basis, check_budget
+from .models import MixedJacobianOperator, check_budget, identity_blocks
 
 SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 
@@ -38,11 +38,16 @@ class SolverConfig:
 
 @dataclass
 class I2FReport:
-    exact_value: float = float("nan")
-    lower_bound: float = float("nan")
+    """One solve's result.  For a 2-D (d_theta, k) block of perturbations,
+    k = 1 included, exact_value, lower_bound and residual are (k,) arrays,
+    solution is (d_x, k), iterations is the most any column took and
+    converged holds only if every column converged."""
+
+    exact_value: float | np.ndarray = float("nan")
+    lower_bound: float | np.ndarray = float("nan")
     solution: np.ndarray | None = None
     iterations: int = 0
-    residual: float = float("nan")
+    residual: float | np.ndarray = float("nan")
     lambda_max: float = float("nan")
     converged: bool = True
 
@@ -104,97 +109,133 @@ def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1
 
 
 def _normal_matvec(operator, eps):
-    return lambda s: operator.jvp(operator.vjp(s)) + eps * s
+    """S -> S (J J^T + eps I): the normal operator on each row of S."""
+    return lambda s: operator.jvp(operator.vjp(s.T)).T + eps * s
+
+
+def _row_dots(a, b):
+    """a_i . b_i for every row i: numpy computes each as one BLAS dot, the
+    same call as for a lone vector, so no row depends on the others."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a):
+    return np.sqrt(_row_dots(a, a))
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
               budget=10_000_000) -> I2FReport:
-    """||(J J^T + eps I)^{-1} J delta|| with the configured solver."""
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
-    if delta.size != operator.d_theta:
-        raise ValueError(f"delta length {delta.size} != d_theta {operator.d_theta}")
+    """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
+
+    delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
+    raises ShapeError.  A block is solved column by column in lockstep:
+    each step works on all unconverged columns at once, with the same
+    arithmetic per column as a lone solve, so every column stops where it
+    would have stopped alone.  A 2-D delta, k = 1 included, always gives
+    the block's array fields (see I2FReport)."""
+    c = operator.jvp(delta)  # J delta, which checks delta's shape
+    vector = c.ndim == 1
+    C = np.atleast_2d(c.T)  # one row per right-hand side
     eps = cfg.epsilon
-    rep = I2FReport()
-    c = operator.jvp(delta)  # J delta
     matvec = _normal_matvec(operator, eps)
+    target = cfg.tolerance * np.maximum(1.0, _row_norms(C))
 
     if cfg.mode == "dense":
         J = _dense_from_operator(operator, budget)
         A = J @ J.T + eps * np.eye(operator.d_x)
-        b = np.linalg.solve(A, J @ delta)
-        rep.iterations = 1
+        B = np.atleast_2d(np.linalg.solve(A, J @ np.asarray(delta, dtype=np.float64)).T)
+        iterations, converged = 1, True
     elif cfg.mode == "conjugate_gradient":
-        b, rep.iterations, rep.converged = _conjugate_gradient(matvec, c, cfg.max_iters, cfg.tolerance)
-    elif cfg.mode == "gradient_descent":
+        B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
+    else:
         lam, _, _, _ = lambda_max_power_iteration(operator, seed=cfg.seed)
-        step = cfg.step_size if cfg.step_size is not None else 1.0 / (lam + eps)
-        b = np.zeros_like(c)
-        rep.converged = False
-        for it in range(1, cfg.max_iters + 1):
-            r = matvec(b) - c
-            b = b - step * r
-            if np.linalg.norm(r) <= cfg.tolerance * max(1.0, np.linalg.norm(c)):
-                rep.converged = True
-                break
-        rep.iterations = it
-    else:  # neumann, pre-scaled so the recursion contracts
-        lam, _, _, _ = lambda_max_power_iteration(operator, seed=cfg.seed)
-        alpha = 1.0 / (lam + eps)
-        s = alpha * c
-        rep.converged = False
-        for it in range(1, cfg.max_iters + 1):
-            s = s - alpha * matvec(s) + alpha * c
-            r = matvec(s) - c
-            if np.linalg.norm(r) <= cfg.tolerance * max(1.0, np.linalg.norm(c)):
-                rep.converged = True
-                break
-        b = s
-        rep.iterations = it
+        if cfg.mode == "gradient_descent":
+            step = cfg.step_size if cfg.step_size is not None else 1.0 / (lam + eps)
 
-    rep.solution = b
-    rep.residual = float(np.linalg.norm(matvec(b) - c))
-    rep.exact_value = float(np.linalg.norm(b))
-    return rep
+            def update(b, c):
+                r = matvec(b) - c
+                return b - step * r, r
+            B = np.zeros_like(C)
+        else:  # neumann, pre-scaled so the recursion contracts
+            alpha = 1.0 / (lam + eps)
+
+            def update(s, c):
+                s = s - alpha * matvec(s) + alpha * c
+                return s, matvec(s) - c
+            B = alpha * C
+        iterations, converged = _iterate_rows(update, B, C, cfg.max_iters, target)
+
+    residual, value = _row_norms(matvec(B) - C), _row_norms(B)
+    if vector:
+        B, residual, value = B[0], float(residual[0]), float(value[0])
+    else:
+        B = B.T
+    return I2FReport(exact_value=value, solution=B, iterations=iterations, residual=residual,
+                     converged=converged)
+
+
+def _iterate_rows(update, x, c, max_iters, target):
+    """x_i, r_i = update(x_i, c_i), in place, on every row whose last
+    residual norm is above target_i, until none is or after max_iters
+    steps.  Returns (the most steps any row took, whether all converged)."""
+    live = np.arange(len(c))
+    for it in range(1, max_iters + 1):
+        x[live], r = update(x[live], c[live])
+        live = live[_row_norms(r) > target[live]]
+        if live.size == 0:
+            return it, True
+    return max_iters, False
 
 
 def _dense_from_operator(operator, budget):
-    """Dense J, one row per VJP."""
+    """Dense J, its rows from VJPs of identity blocks."""
     check_budget(operator, budget)
-    rows = [operator.vjp(_basis(operator.d_x, i)) for i in range(operator.d_x)]
-    return np.stack(rows, axis=0)
+    J = np.empty((operator.d_x, operator.d_theta))
+    for lo, hi, eye in identity_blocks(operator.d_x):
+        J[lo:hi] = operator.vjp(eye).T
+    return J
 
 
-def _conjugate_gradient(matvec, c, max_iters, tol):
+def _conjugate_gradient(matvec, c, max_iters, target):
+    """CG on each row of c in lockstep; a row is frozen once its residual
+    norm is at most target_i.  Returns (solution rows, the most steps any
+    row took, whether all converged)."""
     b = np.zeros_like(c)
-    r = c - matvec(b)
+    r = c.copy()  # c - A @ 0
     p = r.copy()
-    rs = float(r @ r)
-    target = tol * max(1.0, np.linalg.norm(c))
+    rs = _row_dots(r, r)
+    live = np.flatnonzero(np.sqrt(rs) > target)
     for it in range(1, max_iters + 1):
-        if np.sqrt(rs) <= target:
+        if live.size == 0:
             return b, it - 1, True
-        ap = matvec(p)
-        alpha = rs / float(p @ ap)
-        b = b + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return b, max_iters, np.sqrt(rs) <= target
+        pl, rl, rsl = p[live], r[live], rs[live]
+        ap = matvec(pl)
+        alpha = (rsl / _row_dots(pl, ap))[:, None]
+        b[live] += alpha * pl
+        rl = rl - alpha * ap
+        rs_new = _row_dots(rl, rl)
+        r[live], p[live], rs[live] = rl, rl + (rs_new / rsl)[:, None] * pl, rs_new
+        live = live[np.sqrt(rs_new) > target[live]]
+    return b, max_iters, live.size == 0
 
 
 def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
                     epsilon=0.0) -> I2FReport:
     """||J delta|| / (lambda_max(J J^T) + epsilon), the cheap floor under
     ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value approaches
-    lambda_max from below, so the floor holds once it has `converged`."""
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
+    lambda_max from below, so the floor holds once it has `converged`.
+    delta takes i2f_exact's shapes: a (d_theta, k) block gives a (k,)
+    lower_bound, column j's equal to that of delta[:, j] alone."""
+    c = operator.jvp(delta)  # J delta, which checks delta's shape
     lam, n_it, converged, _ = lambda_max_power_iteration(operator, iters=iters, tol=tol, seed=seed)
     rep = I2FReport()
     rep.lambda_max = lam
     rep.iterations = n_it
     rep.converged = converged
-    rep.lower_bound = float(np.linalg.norm(operator.jvp(delta)) / (lam + epsilon))
+    if c.ndim == 1:
+        rep.lower_bound = float(np.linalg.norm(c) / (lam + epsilon))
+    else:
+        rep.lower_bound = _row_norms(np.ascontiguousarray(c.T)) / (lam + epsilon)
     return rep
 
 

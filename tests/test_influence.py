@@ -33,7 +33,8 @@ from gradleak import (
 )
 from gradleak.autodiff import conv_geometry
 from gradleak.data import synthetic_samples
-from gradleak.influence import SingularSpectrumError, _dense_from_operator
+from gradleak.models import ShapeError
+from gradleak.influence import SOLVER_MODES, SingularSpectrumError, _dense_from_operator
 
 LAM_HI = (21 + math.sqrt(185)) / 2  # eigenvalues of JJ^T for J=[[4,0],[1,2]]
 LAM_LO = (21 - math.sqrt(185)) / 2
@@ -377,3 +378,49 @@ def test_lanczos_step_counts():
     # a zero operator
     zero = SimpleNamespace(d_x=3, jvp=lambda d: np.zeros(3), vjp=lambda b: np.zeros(5))
     assert lambda_max_power_iteration(zero) == (0.0, 1, True, [0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_stacks(), st.sampled_from(SOLVER_MODES), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_i2f_matches_columns_property(op, mode, k, seed):
+    # the columns of a block are solved in lockstep, each stopping where
+    # it would stop alone; one column is zero (J delta = 0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    D = rng.normal(size=(op.d_theta, k))
+    zero = int(rng.integers(k))
+    D[:, zero] = 0.0
+    cfg = SolverConfig(mode=mode, epsilon=0.5, max_iters=3000)
+    with np.errstate(divide="raise", invalid="raise"):
+        rep = i2f_exact(op, D, cfg)
+    singles = [i2f_exact(op, D[:, j], cfg) for j in range(k)]
+    assert rep.exact_value.shape == rep.residual.shape == (k,)
+    assert rep.solution.shape == (op.d_x, k)
+    for j, one in enumerate(singles):
+        assert abs(rep.exact_value[j] - one.exact_value) <= 1e-12 * one.exact_value
+    assert rep.iterations == max(one.iterations for one in singles)
+    assert type(rep.converged) is bool
+    assert rep.converged == all(one.converged for one in singles)
+    assert rep.exact_value[zero] == 0.0 and singles[zero].converged
+
+
+def test_block_shapes_of_both_entry_points():
+    # i2f_exact and i2f_lower_bound accept the same shapes: a 1-D vector
+    # gives floats, a 2-D block (k = 1 too) gives (k,) arrays whose columns
+    # equal the lone results, and any other shape raises ShapeError
+    op = mlp_operator()
+    D = np.random.Generator(np.random.PCG64(3)).normal(size=(op.d_theta, 3))
+    cfg = SolverConfig(mode="conjugate_gradient", epsilon=0.5)
+    lone_exact = [i2f_exact(op, D[:, j], cfg).exact_value for j in range(3)]
+    lone_lb = [i2f_lower_bound(op, D[:, j]).lower_bound for j in range(3)]
+    assert all(type(v) is float for v in lone_exact + lone_lb)
+    assert list(i2f_exact(op, D, cfg).exact_value) == lone_exact
+    assert list(i2f_lower_bound(op, D).lower_bound) == lone_lb
+    one = D[:, :1]
+    assert i2f_exact(op, one, cfg).exact_value.shape == (1,)
+    assert i2f_lower_bound(op, one).lower_bound.shape == (1,)
+    for bad in (D[:, 0].reshape(1, -1), D[None], D[:-1]):
+        with pytest.raises(ShapeError, match=str(op.d_theta)):
+            i2f_exact(op, bad, cfg)
+        with pytest.raises(ShapeError, match=str(op.d_theta)):
+            i2f_lower_bound(op, bad)

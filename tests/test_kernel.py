@@ -29,11 +29,13 @@ from gradleak.models import (
     MixedJacobianOperator,
     ModelSpec,
     ParameterSet,
+    ShapeError,
     _forward_var,
     build_model,
     engine_oracle,
     forward_loss,
     initialize_parameters,
+    mlp_model,
     one_layer_model,
     parameter_slots,
 )
@@ -191,3 +193,34 @@ def test_engine_oracle_rejects_bad_requests():
         engine_oracle(spec, params, np.zeros(3), None, "hvp", np.zeros(3))
     with pytest.raises(ValueError, match="length 2"):
         engine_oracle(spec, params, np.zeros(3), None, "vjp", np.zeros(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_cases(), st.sampled_from([1, 2, 5]))
+def test_block_products_match_columns(case, k):
+    # a (d, k) block goes through the passes as one stack of k tangents;
+    # column j of the result is the product of column j on its own
+    spec, params, x, y, rng = case
+    op = MixedJacobianOperator(spec, params, x, y)
+    cond = hessian_condition(spec, params, x)
+    D = rng.normal(size=(spec.d_theta, k))
+    B = rng.normal(size=(spec.d_x, k))
+    JD, JtB = op.jvp(D), op.vjp(B)
+    assert JD.shape == (spec.d_x, k) and JtB.shape == (spec.d_theta, k)
+    for j in range(k):
+        jd, jtb = op.jvp(D[:, j]), op.vjp(B[:, j])
+        assert jd.shape == (spec.d_x,) and jtb.shape == (spec.d_theta,)
+        for block, column in ((JD[:, j], jd), (JtB[:, j], jtb)):
+            assert np.abs(block - column).max() <= 1e-13 * np.abs(column).max() * cond
+
+
+def test_block_products_reject_bad_shapes():
+    spec = mlp_model(4, 3, 2)  # d_x = 4, d_theta = 18
+    params = initialize_parameters(spec, InitScheme("xavier", 0))
+    op = MixedJacobianOperator(spec, params, np.linspace(0.0, 1.0, 4), 1)
+    for product, size, name in ((op.jvp, 18, "d_theta"), (op.vjp, 4, "d_x")):
+        for bad in (np.zeros((7, 2)), np.zeros(7), np.zeros((size, 2, 2))):
+            with pytest.raises(ShapeError) as err:
+                product(bad)
+            message = str(err.value)
+            assert f"{name} is {size}" in message and str(bad.shape) in message
