@@ -69,12 +69,6 @@ def as_var(x):
     return x if isinstance(x, Var) else Var(x)
 
 
-def check_finite(v, where=""):
-    if not np.all(np.isfinite(v.data)):
-        raise FloatingPointError(f"non-finite value encountered{' in ' + where if where else ''}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -167,7 +161,7 @@ def tanh(a):
 def sigmoid_data(d):
     """Stable logistic of an array: exp only of non-positive numbers."""
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a):
@@ -225,17 +219,6 @@ def dot(a, b):
     return matmul(reshape(a, (a.size,)), reshape(b, (b.size,)))
 
 
-def concat1d(parts):
-    parts = [as_var(p) for p in parts]
-    sizes = [p.size for p in parts]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    data = np.concatenate([p.data.reshape(-1) for p in parts])
-    def vjp(g):
-        return tuple(reshape(slice1d(g, int(offs[i]), int(offs[i + 1])), parts[i].data.shape)
-                     for i in range(len(parts)))
-    return Var(data, tuple(parts), vjp)
-
-
 def slice1d(a, start, stop):
     a = as_var(a)
     return Var(a.data[start:stop], (a,), lambda g: (embed1d(g, start, a.size),))
@@ -285,7 +268,12 @@ def conv_geometry(in_shape, kernel, stride, padding):
 def im2col_data(x, kernel, stride, padding):
     """Patch columns of a (C,H,W) array, or of each image of a (k,C,H,W)
     stack: the gather both autodiff and the graph-free kernel use."""
-    idx, size, _ = conv_geometry(x.shape[-3:], kernel, stride, padding)
+    return gather_patches(x, conv_geometry(x.shape[-3:], kernel, stride, padding))
+
+
+def gather_patches(x, geometry):
+    """im2col_data, given the conv_geometry of x's image shape."""
+    idx, size, _ = geometry
     lead = x.shape[:-3]
     flat = np.concatenate((x.reshape(lead + (size,)), np.zeros(lead + (1,))), axis=-1)
     return flat.take(idx, axis=-1)
@@ -294,13 +282,18 @@ def im2col_data(x, kernel, stride, padding):
 def col2im_data(cols, in_shape, kernel, stride, padding):
     """Adjoint of im2col_data: scatter-add patch columns back to the
     (C,H,W) shape `in_shape`, or each of a (k, rows, positions) stack
-    back to (k,C,H,W).
+    back to (k,C,H,W)."""
+    in_shape = tuple(in_shape)
+    return scatter_patches(cols, conv_geometry(in_shape, kernel, stride, padding), in_shape)
+
+
+def scatter_patches(cols, geometry, in_shape):
+    """col2im_data, given the conv_geometry of `in_shape`, a tuple.
 
     bincount adds the weights of each bin in index order, as np.add.at
     does, so the sums are the same bit for bit; image j of a stack owns
     the bins from j * (C*H*W + 1) on, each filled in a lone image's order."""
-    in_shape = tuple(in_shape)
-    idx, size, _ = conv_geometry(in_shape, kernel, stride, padding)
+    idx, size, _ = geometry
     lead = cols.shape[:-2]
     k = math.prod(lead)
     if k != 1:

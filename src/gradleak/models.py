@@ -65,6 +65,8 @@ class ModelSpec:
     d_x: int = field(default=0, init=False)
     d_theta: int = field(default=0, init=False)
     _built: bool = field(default=False, init=False)
+    # one static pass rule per layer, for MixedJacobianOperator
+    plan: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 def _layer_param_shape(layer):
@@ -76,30 +78,27 @@ def _layer_param_shape(layer):
 
 
 def build_model(spec: ModelSpec) -> ModelSpec:
-    """Validate layer composition and fill in d_x / d_theta."""
+    """Validate layer composition, fill in d_x / d_theta and compile the
+    kernel's layer plan."""
     if spec.loss not in LOSS_KINDS:
         raise ShapeError(f"unknown loss kind {spec.loss!r}")
     shape = tuple(spec.input_shape)
     d_theta = 0
+    plan = []
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Linear):
             if len(shape) != 1 or shape[0] != layer.in_features:
                 raise ShapeError(f"layer {i} ({layer}) expects a vector of length {layer.in_features}, got shape {shape}")
-            shape = (layer.out_features,)
-            d_theta += layer.out_features * layer.in_features
         elif isinstance(layer, Conv2d):
             if len(shape) != 3 or shape[0] != layer.in_channels:
                 raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {shape}")
-            _, _, (oh, ow) = ad.conv_geometry(shape, layer.kernel, layer.stride, layer.padding)
-            shape = (layer.out_channels, oh, ow)
-            d_theta += layer.out_channels * layer.in_channels * layer.kernel * layer.kernel
         elif isinstance(layer, Activation):
             if layer.kind not in ACTIVATIONS:
                 raise ShapeError(f"layer {i}: unknown activation {layer.kind!r}")
-        elif isinstance(layer, Flatten):
-            shape = (int(np.prod(shape)),)
-        else:
+        elif not isinstance(layer, Flatten):
             raise ShapeError(f"layer {i}: unknown layer type {type(layer).__name__}")
+        plan.append(_layer_step(layer, shape, d_theta))
+        shape, d_theta = plan[-1].out_shape, d_theta + plan[-1].size
     if spec.loss == "cross_entropy":
         if len(shape) != 1 or shape[0] != spec.num_classes:
             raise ShapeError(f"cross_entropy expects final shape ({spec.num_classes},), model produces {shape}")
@@ -112,6 +111,7 @@ def build_model(spec: ModelSpec) -> ModelSpec:
         spec.target = target
     spec.d_x = int(np.prod(spec.input_shape))
     spec.d_theta = d_theta
+    spec.plan = tuple(plan)
     spec._built = True
     return spec
 
@@ -135,14 +135,8 @@ class ParameterSet:
 
 
 def parameter_slots(spec: ModelSpec):
-    slots = []
-    off = 0
-    for i, layer in enumerate(spec.layers):
-        shape = _layer_param_shape(layer)
-        if shape is not None:
-            slots.append((i, off, shape))
-            off += int(np.prod(shape))
-    return tuple(slots)
+    """((layer_index, offset, shape), ...) of a built spec's weighted layers."""
+    return tuple((i, step.off, step.shape) for i, step in enumerate(spec.plan) if isinstance(step, _Affine))
 
 
 @dataclass(frozen=True)
@@ -254,10 +248,12 @@ class MixedJacobianOperator:
     """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta).
 
     Graph-free forward-over-reverse (Pearlmutter's R-operator): the
-    constructor runs one forward and one backward pass in plain numpy,
-    keeping each layer's activations and cotangents.  J @ delta is the
-    tangent of g_x as theta moves along delta, and J.T @ b the tangent of
-    g_theta as x moves along b; each takes one tangent-forward and one
+    constructor runs the layer plan that build_model compiled, one forward
+    and one backward pass in plain numpy, keeping each layer's activations
+    and cotangents.  g_x, which the attacks never read, is finished from
+    layer 0's kept cotangent on first read.  J @ delta is the tangent of
+    g_x as theta moves along delta, and J.T @ b the tangent of g_theta as
+    x moves along b; each takes one tangent-forward and one
     tangent-backward pass through the kept values.  Both also take a
     (d, k) block and push its k columns through the same passes together,
     as a stack of k tangents, so each layer's products become batched
@@ -269,56 +265,53 @@ class MixedJacobianOperator:
         self.spec = spec
         x = _check_sample(spec, x)
         self.d_x, self.d_theta = spec.d_x, spec.d_theta
-        self._slots = [None] * len(spec.layers)  # (offset, size, shape) per weighted layer
-        for i, off, shape in parameter_slots(spec):
-            self._slots[i] = (off, shape[0] * shape[1], shape)
-        self._rules = []
+        plan, self._kept = spec.plan, []
         h = x
-        for i, layer in enumerate(spec.layers):
-            rule = _layer_rule(layer, self._weight(params.theta, i), h)
-            h = rule.out
-            if not np.all(np.isfinite(h)):
-                raise FloatingPointError(f"non-finite activation after layer {i} ({layer})")
-            self._rules.append(rule)
-        c, self._loss_hvp = _loss_rule(spec, h, y)
+        for i, step in enumerate(plan):
+            h, keep = step.forward(params.theta, h)
+            # activations and flattens keep finite values finite, so the first
+            # non-finite output is layer 0's (it reads x) or a weighted layer's
+            if (i == 0 or isinstance(step, _Affine)) and not np.isfinite(h).all():
+                raise FloatingPointError(f"non-finite activation after layer {i} ({spec.layers[i]})")
+            self._kept.append(keep)
+        c, self._softmax = _loss_rule(spec, h, y)
         self.g_theta = np.zeros(self.d_theta)
-        for i in reversed(range(len(self._rules))):
-            gw, c = self._rules[i].backward(c)
-            self._put(self.g_theta, i, gw)
-        self.g_x = c.reshape(-1)
+        self._back = [None] * len(plan)
+        for i in reversed(range(len(plan))):
+            self._back[i] = plan[i].backward(self._kept[i], c, self.g_theta)
+            if i:
+                c = plan[i].pullback(self._kept[i], c)
+        self._c0, self._g_x = c, None
 
-    def _weight(self, vec, i):
-        """Layer i's weight matrix within theta, or the stack of them within
-        a (k, d_theta) stack of parameter tangents."""
-        slot = self._slots[i]
-        if slot is None or vec is None:
-            return None
-        off, size, shape = slot
-        return vec[..., off:off + size].reshape(vec.shape[:-1] + shape)
-
-    def _put(self, out, i, block):
-        if block is not None:
-            off, size, _ = self._slots[i]
-            out[..., off:off + size] = block.reshape(block.shape[:-2] + (size,))
+    @property
+    def g_x(self):
+        """dL/dx, flat."""
+        if self._g_x is None:
+            c = self._c0
+            if self.spec.plan:
+                c = self.spec.plan[0].pullback(self._kept[0], c)
+            self._g_x = c.reshape(-1)
+        return self._g_x
 
     def _tangent(self, dtheta, dx, want_theta, lead):
         """Tangents of (g_theta, g_x) along (dtheta, dx), whose shapes are
         the primal ones behind `lead`: () for one tangent, (k,) for a stack
         of k.  None is a zero tangent.  Only g_theta's tangents
         (want_theta) or only g_x's are made."""
-        dws = [self._weight(dtheta, i) for i in range(len(self._rules))]
+        plan, kept = self.spec.plan, self._kept
+        dws = [None if dtheta is None else step.weight(dtheta) for step in plan]
         saved = []
         d = dx
-        for rule, dw in zip(self._rules, dws):
-            d, keep = rule.tangent_forward(dw, d)
-            saved.append(keep)
-        dc = None if d is None else self._loss_hvp(d)
+        for step, keep, dw in zip(plan, kept, dws):
+            d, s = step.tangent_forward(keep, dw, d)
+            saved.append(s)
+        dc = None if d is None else _loss_hvp(self.spec.loss, self._softmax, d)
         dg = np.zeros(lead + (self.d_theta,)) if want_theta else None
-        for i in reversed(range(len(self._rules))):
-            dgw, dc = self._rules[i].tangent_backward(dws[i], saved[i], dc, want_theta,
-                                                      i > 0 or not want_theta)
-            if want_theta:
-                self._put(dg, i, dgw)
+        for i in reversed(range(len(plan))):
+            dgw, dc = plan[i].tangent_backward(kept[i], self._back[i], dws[i], saved[i], dc,
+                                               want_theta, i > 0 or not want_theta)
+            if dgw is not None:
+                plan[i].put(dg, dgw)
         if want_theta:
             return dg
         return np.zeros(lead + (self.d_x,)) if dc is None else dc.reshape(lead + (self.d_x,))
@@ -347,14 +340,14 @@ def _as_stack(v, what, size, name):
     return np.ascontiguousarray(v.T)
 
 
-# Pass rules, one per layer kind.  A rule is built by the forward pass and
-# keeps what its other passes need: backward(c) turns the cotangent of the
-# layer output into (weight gradient, input cotangent), tangent_forward
-# pushes (d weight, d input) to (d output, kept value), and tangent_backward
-# gives the tangents of backward's two results.  A tangent has its primal
-# value's shape, or that shape behind a leading axis of size k for a stack
-# of k, which numpy's matmul and broadcasting carry through unchanged.
-# None is a zero tangent.
+# Pass rules, one per layer kind, made once by build_model with only static
+# data; each operator keeps its own values.  forward(theta, h) gives the
+# output and what the other passes keep, backward(kept, c, g_theta) puts
+# the weight gradient into g_theta and gives what the tangent passes keep
+# of the output cotangent c, and pullback(kept, c) gives the input
+# cotangent; the tangent passes push tangents through the same steps.  A
+# tangent has its primal value's shape, or that shape behind a leading
+# axis of size k for a stack of k.  None is a zero tangent.
 
 
 def _plus(a, b):
@@ -369,118 +362,145 @@ def _times(a, b):
     return None if a is None or b is None else a @ b
 
 
-class _Affine:
-    """out = W @ cols(h): Linear with one column, Conv2d with im2col columns."""
+class _Step:
+    size = 0  # weight entries in theta
 
-    def __init__(self, w, h, to_cols, from_cols, out_shape):
-        self.w, self.to_cols, self.from_cols = w, to_cols, from_cols
-        self.cols = to_cols(h)
-        self.out = (w @ self.cols).reshape(out_shape)
+    def weight(self, vec):
+        return None
 
-    def backward(self, c):
-        c = self.c = c.reshape(self.w.shape[0], -1)
-        return c @ self.cols.T, self.from_cols(self.w.T @ c)
+    def backward(self, kept, c, g_theta):
+        return None
 
-    def tangent_forward(self, dw, dh):
+
+class _Affine(_Step):
+    """out = W @ cols(h): Linear with one column, Conv2d with the im2col
+    columns of its conv_geometry."""
+
+    def __init__(self, layer, in_shape, off):
+        self.shape = _layer_param_shape(layer)
+        self.off, self.size, self.in_shape = off, math.prod(self.shape), in_shape
+        self.geometry, self.out_shape = None, self.shape[:1]
+        if isinstance(layer, Conv2d):
+            self.geometry = ad.conv_geometry(in_shape, layer.kernel, layer.stride, layer.padding)
+            self.out_shape = self.shape[:1] + self.geometry[2]
+        self.c_shape = (self.shape[0], math.prod(self.out_shape[1:]))
+
+    def to_cols(self, v):
+        if self.geometry is None:
+            return v.reshape(v.shape + (1,))
+        return ad.gather_patches(v, self.geometry)
+
+    def from_cols(self, c):
+        if self.geometry is None:
+            return c.reshape(c.shape[:-1])
+        return ad.scatter_patches(c, self.geometry, self.in_shape)
+
+    def weight(self, vec):
+        """The weight matrix within theta, or the stack of them within a
+        (k, d_theta) stack of parameter tangents."""
+        return vec[..., self.off:self.off + self.size].reshape(vec.shape[:-1] + self.shape)
+
+    def put(self, out, block):
+        out[..., self.off:self.off + self.size] = block.reshape(block.shape[:-2] + (self.size,))
+
+    def forward(self, theta, h):
+        w, cols = self.weight(theta), self.to_cols(h)
+        return (w @ cols).reshape(self.out_shape), (w, cols)
+
+    def backward(self, kept, c, g_theta):
+        c = c.reshape(self.c_shape)
+        self.put(g_theta, c @ kept[1].T)
+        return c
+
+    def pullback(self, kept, c):
+        return self.from_cols(kept[0].T @ c.reshape(self.c_shape))
+
+    def tangent_forward(self, kept, dw, dh):
+        w, cols = kept
         dcols = None if dh is None else self.to_cols(dh)
-        dout = _plus(_times(dw, self.cols), _times(self.w, dcols))
-        return None if dout is None else dout.reshape(dout.shape[:-2] + self.out.shape), dcols
+        dout = _plus(_times(dw, cols), _times(w, dcols))
+        return None if dout is None else dout.reshape(dout.shape[:-2] + self.out_shape), dcols
 
-    def tangent_backward(self, dw, dcols, dc, grad, prev):
+    def tangent_backward(self, kept, c, dw, dcols, dc, grad, prev):
+        w, cols = kept
         if dc is not None:
-            dc = dc.reshape(dc.shape[:dc.ndim - self.out.ndim] + self.c.shape)
+            dc = dc.reshape(dc.shape[:dc.ndim - len(self.out_shape)] + self.c_shape)
         dg = dp = None
         if grad:  # d(c @ cols.T)
-            dg = _plus(_times(dc, self.cols.T),
-                       None if dcols is None else self.c @ dcols.swapaxes(-1, -2))
-        if prev:  # d(W.T @ c), scattered back like backward's
-            dp = _plus(None if dw is None else dw.swapaxes(-1, -2) @ self.c,
-                       _times(self.w.T, dc))
+            dg = _plus(_times(dc, cols.T), None if dcols is None else c @ dcols.swapaxes(-1, -2))
+        if prev:  # d(W.T @ c), scattered back like pullback's
+            dp = _plus(None if dw is None else dw.swapaxes(-1, -2) @ c, _times(w.T, dc))
             dp = None if dp is None else self.from_cols(dp)
         return dg, dp
 
 
-_UNSET = object()
+class _Elementwise(_Step):
+    """An ACTIVATIONS kind, with the engine's primal formulas; relu'(0) = 0.
+    It keeps (output, act'(z)), and backward keeps c * act''(z)."""
 
+    def __init__(self, kind, shape):
+        self.kind, self.out_shape = kind, shape
 
-class _Elementwise:
-    """An ACTIVATIONS kind, with the engine's primal formulas; relu'(0) = 0."""
+    def forward(self, theta, z):
+        if self.kind == "sigmoid":
+            s = ad.sigmoid_data(z)
+            return s, (s, s * (1.0 - s))
+        if self.kind == "tanh":
+            t = np.tanh(z)
+            return t, (t, 1.0 - t * t)
+        if self.kind == "relu":
+            return np.maximum(z, 0.0), (None, (z > 0).astype(np.float64))
+        return z, (None, None)  # identity
 
-    def __init__(self, kind, z):
-        self.kind = kind
-        if kind == "sigmoid":
-            s = self.out = ad.sigmoid_data(z)
-            self.d1 = s * (1.0 - s)
-        elif kind == "tanh":
-            t = self.out = np.tanh(z)
-            self.d1 = 1.0 - t * t
-        elif kind == "relu":
-            self.out = np.maximum(z, 0.0)
-            self.d1 = (z > 0).astype(np.float64)
-        else:
-            self.out, self.d1 = z, None  # identity
-        self._cd2 = _UNSET
+    def backward(self, kept, c, g_theta):
+        out, d1 = kept
+        if self.kind == "sigmoid":
+            return c * (d1 * (1.0 - 2.0 * out))
+        if self.kind == "tanh":
+            return c * (-2.0 * out * d1)
+        return None
 
-    def backward(self, c):
-        self.c = c
-        return None, c if self.d1 is None else c * self.d1
+    def pullback(self, kept, c):
+        return c if kept[1] is None else c * kept[1]
 
-    def _c_times_second(self):
-        """c * act''(z): the same for every tangent, so made once."""
-        if self._cd2 is _UNSET:
-            if self.kind == "sigmoid":
-                self._cd2 = self.c * (self.d1 * (1.0 - 2.0 * self.out))
-            elif self.kind == "tanh":
-                self._cd2 = self.c * (-2.0 * self.out * self.d1)
-            else:
-                self._cd2 = None
-        return self._cd2
-
-    def tangent_forward(self, dw, dz):
+    def tangent_forward(self, kept, dw, dz):
         if dz is None:
             return None, None
-        return (dz if self.d1 is None else self.d1 * dz), dz
+        return (dz if kept[1] is None else kept[1] * dz), dz
 
-    def tangent_backward(self, dw, dz, dc, grad, prev):
+    def tangent_backward(self, kept, cd2, dw, dz, dc, grad, prev):
         if not prev:
             return None, None
-        first = dc if dc is None or self.d1 is None else dc * self.d1
-        cd2 = self._c_times_second()
+        first = None if dc is None else self.pullback(kept, dc)
         return None, _plus(first, None if cd2 is None or dz is None else cd2 * dz)
 
 
-class _Flatten:
-    def __init__(self, h):
-        self.shape = h.shape
-        self.out = h.reshape(-1)
+class _Flatten(_Step):
+    def __init__(self, shape):
+        self.in_shape, self.out_shape = shape, (int(np.prod(shape)),)
 
-    def backward(self, c):
-        return None, c.reshape(self.shape)
+    def forward(self, theta, h):
+        return h.reshape(-1), None
 
-    def tangent_forward(self, dw, dh):
-        return None if dh is None else dh.reshape(dh.shape[:dh.ndim - len(self.shape)] + (-1,)), None
+    def pullback(self, kept, c):
+        return c.reshape(self.in_shape)
 
-    def tangent_backward(self, dw, keep, dc, grad, prev):
-        return None, None if dc is None or not prev else dc.reshape(dc.shape[:-1] + self.shape)
+    def tangent_forward(self, kept, dw, dh):
+        return None if dh is None else dh.reshape(dh.shape[:dh.ndim - len(self.in_shape)] + (-1,)), None
+
+    def tangent_backward(self, kept, back, dw, saved, dc, grad, prev):
+        return None, None if dc is None or not prev else dc.reshape(dc.shape[:-1] + self.in_shape)
 
 
-def _layer_rule(layer, w, h):
-    if isinstance(layer, Linear):
-        return _Affine(w, h, lambda v: v.reshape(v.shape + (1,)), lambda c: c.reshape(c.shape[:-1]),
-                       (layer.out_features,))
-    if isinstance(layer, Conv2d):
-        k, s, p, shape = layer.kernel, layer.stride, layer.padding, h.shape
-        _, _, (oh, ow) = ad.conv_geometry(shape, k, s, p)
-        return _Affine(w, h, lambda v: ad.im2col_data(v, k, s, p),
-                       lambda c: ad.col2im_data(c, shape, k, s, p), (layer.out_channels, oh, ow))
+def _layer_step(layer, shape, off):
+    """The rule of `layer`, with input shape `shape` and weights at `off`."""
     if isinstance(layer, Activation):
-        return _Elementwise(layer.kind, h)
-    return _Flatten(h)
+        return _Elementwise(layer.kind, shape)
+    return _Flatten(shape) if isinstance(layer, Flatten) else _Affine(layer, shape, off)
 
 
 def _loss_rule(spec, out, y):
-    """(dL/d out, d -> Hessian of L in out times d, or times each tangent
-    of a stack d; None for a zero Hessian)."""
+    """(dL/d out, the softmax p for cross-entropy or else None)."""
     if spec.loss == "cross_entropy":
         if y is None or not (0 <= int(y) < spec.num_classes):
             raise ShapeError(f"label {y} outside [0, {spec.num_classes})")
@@ -488,12 +508,19 @@ def _loss_rule(spec, out, y):
         p = e * (1.0 / e.sum())
         c = p.copy()
         c[int(y)] -= 1.0
+        return c, p
+    if spec.loss == "squared_error":
+        return out - spec.target, None
+    return np.ones_like(out), None  # sum_output
+
+
+def _loss_hvp(loss, p, d):
+    """L's Hessian in the model output times d, or each tangent of a stack d; None if zero."""
+    if loss == "cross_entropy":
         # (diag(p) - p p^T) d as p_i sum_j p_j (d_i - d_j): the form
         # p * d - p * (p @ d) cancels to 1 - p_max on a saturated softmax
-        return c, lambda d: p * ((d[..., :, None] - d[..., None, :]) @ p)
-    if spec.loss == "squared_error":
-        return out - spec.target, lambda d: d
-    return np.ones_like(out), lambda d: None  # sum_output
+        return p * ((d[..., :, None] - d[..., None, :]) @ p)
+    return d if loss == "squared_error" else None
 
 
 def mixed_jvp(spec, params, x, y, delta):
@@ -608,8 +635,8 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
             xp, xm = flat.copy(), flat.copy()
             xp[i] += h
             xm[i] -= h
-            gp = gradients(spec, params, xp.reshape(x.shape), y).g_theta
-            gm = gradients(spec, params, xm.reshape(x.shape), y).g_theta
+            gp = MixedJacobianOperator(spec, params, xp.reshape(x.shape), y).g_theta
+            gm = MixedJacobianOperator(spec, params, xm.reshape(x.shape), y).g_theta
             out[i] = (gp @ delta - gm @ delta) / (2 * h)
         return out
     raise ValueError(f"unknown oracle target {what!r}")
@@ -631,8 +658,7 @@ def train_model(spec, params, dataset, epochs, lr, snapshot_every=1):
     for epoch in range(epochs):
         for sample in dataset:
             cur = params.with_theta(theta)
-            bundle = gradients(spec, cur, sample.image, sample.label)
-            theta = theta - lr * bundle.g_theta
+            theta = theta - lr * MixedJacobianOperator(spec, cur, sample.image, sample.label).g_theta
             if not np.all(np.isfinite(theta)):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
         if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:

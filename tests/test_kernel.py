@@ -39,6 +39,9 @@ from gradleak.models import (
     one_layer_model,
     parameter_slots,
 )
+from gradleak import models
+from gradleak.experiments import KERNEL_CHECK_TOL
+from gradleak.models import lenet_variant
 
 TOL = 1e-10
 
@@ -224,3 +227,54 @@ def test_block_products_reject_bad_shapes():
                 product(bad)
             message = str(err.value)
             assert f"{name} is {size}" in message and str(bad.shape) in message
+
+
+def test_overflow_squashed_by_sigmoid_still_raises():
+    # every conv-0 output overflows to +inf and the sigmoid after it maps
+    # each to 1.0, so a check of the loss alone would pass this forward
+    spec = lenet_variant()
+    params = initialize_parameters(spec, InitScheme("uniform", 0))
+    theta = params.theta.copy()
+    theta[:300] = 1e308
+    broken = params.with_theta(theta)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=spec.input_shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv0 = theta[:300].reshape(12, 25) @ ad.im2col_data(x, 5, 2, 2)
+        assert np.isposinf(conv0).all() and np.isfinite(ad.sigmoid_data(conv0)).all()
+        with pytest.raises(FloatingPointError) as engine_err:
+            forward_loss(spec, broken, x, 3)
+        with pytest.raises(FloatingPointError, match="after layer 0 ") as kernel_err:
+            MixedJacobianOperator(spec, broken, x, 3)
+    assert str(kernel_err.value) == str(engine_err.value)
+
+
+def test_plan_is_compiled_once_and_shared_without_state(monkeypatch):
+    # build_model compiles one pass rule per layer; operators only run the
+    # plan, so live operators of one spec must not see each other's values
+    compiled = []
+    layer_step = models._layer_step
+    monkeypatch.setattr(models, "_layer_step", lambda *a: compiled.append(a) or layer_step(*a))
+    spec = lenet_variant(image_size=12, channels=3, num_classes=4)
+    assert len(compiled) == len(spec.layers)
+    params = initialize_parameters(spec, InitScheme("uniform", 0))
+    rng = np.random.default_rng(1)
+    xa, xb = rng.uniform(0.0, 1.0, size=(2,) + spec.input_shape)
+    delta, b = rng.normal(size=spec.d_theta), rng.normal(size=spec.d_x)
+    D = rng.normal(size=(spec.d_theta, 3))
+
+    def alone(x, product, v):
+        return getattr(MixedJacobianOperator(spec, params, x, 2), product)(v)
+
+    op_a = MixedJacobianOperator(spec, params, xa, 2)
+    gx_a = op_a.g_x.copy()
+    op_b = MixedJacobianOperator(spec, params, xb, 2)
+    calls = [(op_b, xb, "jvp", delta), (op_a, xa, "jvp", delta), (op_b, xb, "vjp", b),
+             (op_a, xa, "jvp", D), (op_a, xa, "vjp", b), (op_b, xb, "jvp", D)]
+    results = [getattr(op, product)(v) for op, _, product, v in calls]
+    for (_, x, product, v), result in zip(calls, results):
+        assert np.array_equal(result, alone(x, product, v))
+    assert np.array_equal(op_a.g_x, gx_a)
+    for op, x in ((op_a, xa), (op_b, xb)):
+        ref = engine_oracle(spec, params, x, 2, "grad_x")
+        assert np.abs(op.g_x - ref).max() <= KERNEL_CHECK_TOL * np.abs(ref).max()
+    assert len(compiled) == len(spec.layers)
