@@ -199,11 +199,12 @@ def prune_gradient(g, ratio):
 
 
 def singular_direction_perturbation(operator: MixedJacobianOperator, which, scale=1.0,
-                                    budget=10_000_000):
+                                    budget=10_000_000, spectrum=None):
     """Perturbation along the right singular vector of J with the
     `which`-th largest singular value; lives in parameter space.  Raises
-    IndexError unless 0 <= which < rank(J)."""
+    IndexError unless 0 <= which < rank(J).  `spectrum`, the operator's
+    dense_spectrum if given, saves factorizing J again."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    rep = dense_spectrum(operator, budget)
+    rep = spectrum if spectrum is not None else dense_spectrum(operator, budget)
     return scale * rep.right_vector(which), float(rep.singular_values[which])

@@ -4,8 +4,9 @@ The central quantity is b = (J J^T + eps I)^{-1} J delta for a gradient
 perturbation delta; ||b|| approximates how far the reconstructed sample
 moves.  Four interchangeable solvers are provided (dense, least-squares
 gradient descent, conjugate gradient, Neumann recursion), all matrix-free
-except the dense one, plus spectral utilities and the certified bound
-from the Lipschitz constants of the gradient and the Jacobian.
+except the dense one, plus spectral utilities and the recovery-error bound
+from the Lipschitz constants of the gradient and the Jacobian, a bound
+under estimated constants (see theorem_bound).
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     matvec = _normal_matvec(operator, eps)
     target = cfg.tolerance * np.maximum(1.0, _row_norms(C))
 
-    if cfg.mode == "dense":
+    if cfg.mode == "dense":  # one J per call, each column solved as a lone call is
         J = _dense_from_operator(operator, budget)
         A = J @ J.T + eps * np.eye(operator.d_x)
-        B = np.atleast_2d(np.linalg.solve(A, J @ np.asarray(delta, dtype=np.float64)).T)
+        D = np.asarray(delta, dtype=np.float64).reshape(operator.d_theta, -1)
+        B = np.array([np.linalg.solve(A, J @ np.ascontiguousarray(d)) for d in D.T])
         iterations, converged = 1, True
     elif cfg.mode == "conjugate_gradient":
         B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
@@ -222,8 +224,10 @@ def _conjugate_gradient(matvec, c, max_iters, target):
 def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
                     epsilon=0.0) -> I2FReport:
     """||J delta|| / (lambda_max(J J^T) + epsilon), the cheap floor under
-    ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value approaches
-    lambda_max from below, so the floor holds once it has `converged`.
+    ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value theta is at
+    most lambda_max, so the floor errs high if theta falls short, converged
+    or not: a small residual only places some eigenvalue near theta
+    (ROADMAP.md, "Make the floor a real bound").
     delta takes i2f_exact's shapes: a (d_theta, k) block gives a (k,)
     lower_bound, column j's equal to that of delta[:, j] alone."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
@@ -274,14 +278,16 @@ def expected_gaussian_risk(spectrum: SpectrumReport, variance=1.0, epsilon=0.0) 
 
 
 def theorem_bound(j_norm, mu_l, mu_j, g0, delta, jdelta_norm) -> float:
-    """Certified recovery-error floor ||J d|| / (mu_L ||J|| + 2 mu_J ||g0 + d||)."""
+    """Recovery-error floor ||J d|| / (mu_L ||J|| + 2 mu_J ||g0 + d||), a bound
+    under estimated constants: estimate_lipschitz's sampled maxima can only
+    underestimate the true mu_L and mu_J."""
     if mu_l < 0 or mu_j < 0 or (mu_l == 0 and mu_j == 0):
         raise ValueError("need mu_l > 0 or mu_j > 0, both non-negative")
     g0 = np.asarray(g0, dtype=np.float64).reshape(-1)
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     denom = mu_l * j_norm + 2.0 * mu_j * np.linalg.norm(g0 + delta)
     if denom == 0.0:
-        raise ValueError("zero denominator in certified bound")
+        raise ValueError("zero denominator in the recovery-error bound")
     return float(jdelta_norm / denom)
 
 

@@ -424,3 +424,18 @@ def test_block_shapes_of_both_entry_points():
             i2f_exact(op, bad, cfg)
         with pytest.raises(ShapeError, match=str(op.d_theta)):
             i2f_lower_bound(op, bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_stacks(), st.sampled_from(SOLVER_MODES), st.integers(1, 5),
+       st.sampled_from([0.1, 0.5, 2.0]), st.integers(0, 2 ** 32 - 1))
+def test_block_i2f_columns_equal_lone_solves_property(op, mode, k, eps, seed):
+    # bit for bit: a block column is computed exactly as its lone solve,
+    # the dense mode's multi-column factorization included
+    D = np.random.Generator(np.random.PCG64(seed)).normal(size=(op.d_theta, k))
+    cfg = SolverConfig(mode=mode, epsilon=eps, max_iters=3000)
+    block = i2f_exact(op, D, cfg)
+    for j in range(k):
+        lone = i2f_exact(op, D[:, j], cfg)
+        assert block.exact_value[j] == lone.exact_value
+        assert np.array_equal(block.solution[:, j], lone.solution)
