@@ -155,7 +155,9 @@ def _realize_perturbation(pert, op, g0, seed, spectrum=None):
 
 def run_audit(cfg: ExperimentConfig):
     """One row per (sample, perturbation, epoch): metric values vs. attack error.
-    A sample's perturbations are one (d_theta, P) block and share one Lanczos."""
+    A sample's perturbations are one (d_theta, P) block and share one Lanczos
+    and at most one Gram J J^T, which the singular directions and the dense
+    solve both read."""
     spec = build_model_from_config(cfg)
     dataset = load_dataset(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -172,9 +174,9 @@ def run_audit(cfg: ExperimentConfig):
             realized = [_realize_perturbation(pert, op, g0, job_seed(cfg.seed, epoch, si, pi),
                                               spectrum)
                         for pi, pert in enumerate(cfg.perturbations)]
-            del spectrum  # it holds the dense J
             D = np.stack([delta for delta, _ in realized], axis=1)
-            exact = i2f_exact(op, D, cfg.solver).exact_value
+            gram = None if spectrum is None else spectrum.gram
+            exact = i2f_exact(op, D, cfg.solver, gram=gram).exact_value
             lb = i2f_lower_bound(op, D, seed=job_seed(cfg.seed, epoch, si),
                                  epsilon=cfg.solver.epsilon)
             for pi, (pert, (delta, param_val)) in enumerate(zip(cfg.perturbations, realized)):

@@ -59,8 +59,9 @@ class SpectrumReport:
     singular_values: np.ndarray  # sqrt of the above
     rank: int
     rank_threshold: float
-    J: np.ndarray | None = None  # the dense mixed Jacobian, d_x x d_theta
-    U: np.ndarray | None = None  # eigenvectors of J J^T, columns in eigenvalue order
+    operator: MixedJacobianOperator | None = None  # the J it factors
+    U: np.ndarray | None = None     # eigenvectors of J J^T, columns in eigenvalue order
+    gram: np.ndarray | None = None  # the symmetric J J^T it factors, d_x x d_x
 
     def right_vector(self, i):
         """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank,
@@ -68,7 +69,7 @@ class SpectrumReport:
         positive: the sign of a singular pair is otherwise LAPACK's choice."""
         if not 0 <= i < self.rank:
             raise IndexError(f"singular index {i} out of range for rank {self.rank}")
-        v = self.J.T @ self.U[:, i] / self.singular_values[i]
+        v = self.operator.vjp(self.U[:, i]) / self.singular_values[i]
         return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 RANK_THRESHOLD_REL = 1e-10  # eigenvalue below this fraction of the max counts as zero
@@ -125,7 +126,7 @@ def _row_norms(a):
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
-              budget=10_000_000) -> I2FReport:
+              budget=10_000_000, gram=None) -> I2FReport:
     """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
 
     delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
@@ -133,7 +134,9 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     each step works on all unconverged columns at once, with the same
     arithmetic per column as a lone solve, so every column stops where it
     would have stopped alone.  A 2-D delta, k = 1 included, always gives
-    the block's array fields (see I2FReport)."""
+    the block's array fields (see I2FReport).  The dense mode solves with
+    `gram`, the operator's dense_spectrum(...).gram, if given, and builds
+    the same J J^T itself if not; the other modes ignore it."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
     vector = c.ndim == 1
     C = np.atleast_2d(c.T)  # one row per right-hand side
@@ -141,11 +144,10 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     matvec = _normal_matvec(operator, eps)
     target = cfg.tolerance * np.maximum(1.0, _row_norms(C))
 
-    if cfg.mode == "dense":  # one J per call, each column solved as a lone call is
-        J = _dense_from_operator(operator, budget)
-        A = J @ J.T + eps * np.eye(operator.d_x)
-        D = np.asarray(delta, dtype=np.float64).reshape(operator.d_theta, -1)
-        B = np.array([np.linalg.solve(A, J @ np.ascontiguousarray(d)) for d in D.T])
+    if cfg.mode == "dense":  # one Gram per call, each column solved as a lone call is
+        G = _normal_gram(operator, budget) if gram is None else gram
+        A = G + eps * np.eye(operator.d_x)
+        B = np.array([np.linalg.solve(A, row) for row in C])
         iterations, converged = 1, True
     elif cfg.mode == "conjugate_gradient":
         B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
@@ -191,11 +193,22 @@ def _iterate_rows(update, x, c, max_iters, target):
 
 def _dense_from_operator(operator, budget):
     """Dense J, its rows from VJPs of identity blocks."""
-    check_budget(operator, budget)
+    check_budget(operator.d_x * operator.d_theta, budget, "dense Jacobian")
     J = np.empty((operator.d_x, operator.d_theta))
     for lo, hi, eye in identity_blocks(operator.d_x):
         J[lo:hi] = operator.vjp(eye).T
     return J
+
+
+def _normal_gram(operator, budget):
+    """The d_x x d_x Gram matrix J J^T without J: its columns lo:hi are the
+    normal products J (J^T E) of an identity block E.  Symmetrized once,
+    exactly, so that eigh (one triangle) and solve (both) read one matrix."""
+    check_budget(operator.d_x ** 2, budget, "Gram matrix J J^T")
+    G = np.empty((operator.d_x, operator.d_x))
+    for lo, hi, eye in identity_blocks(operator.d_x):
+        G[:, lo:hi] = operator.jvp(operator.vjp(eye))
+    return 0.5 * (G + G.T)
 
 
 def _conjugate_gradient(matvec, c, max_iters, target):
@@ -245,14 +258,15 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9,
 
 def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000) -> SpectrumReport:
     """The one factorization of J: eigendecomposition of the d_x x d_x
-    Gram matrix J J^T, whose eigenvectors are J's left singular vectors."""
-    J = _dense_from_operator(operator, budget)
-    eig, U = np.linalg.eigh(J @ J.T)
+    Gram matrix J J^T, whose eigenvectors are J's left singular vectors.
+    J itself is never formed: budget caps the d_x^2 entries of the Gram."""
+    G = _normal_gram(operator, budget)
+    eig, U = np.linalg.eigh(G)
     eig, U = np.clip(eig[::-1], 0.0, None), U[:, ::-1]
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)
     rank = int(np.sum(eig > thresh))
     return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank,
-                          rank_threshold=thresh, J=J, U=U)
+                          rank_threshold=thresh, operator=operator, U=U, gram=G)
 
 
 class SingularSpectrumError(ValueError):

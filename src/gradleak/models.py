@@ -535,10 +535,10 @@ class BudgetError(ValueError):
     pass
 
 
-def check_budget(op, budget):
-    entries = op.d_x * op.d_theta
+def check_budget(entries, budget, what):
+    """Raise BudgetError if the dense array `what` needs more than budget entries."""
     if entries > budget:
-        raise BudgetError(f"dense Jacobian needs {entries} entries, budget is {budget}")
+        raise BudgetError(f"{what} needs {entries} entries, budget is {budget}")
 
 
 def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
@@ -549,7 +549,7 @@ def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
     if by == "rows":
         return _dense_from_operator(op, budget)
     if by == "columns":
-        check_budget(op, budget)
+        check_budget(op.d_x * op.d_theta, budget, "dense Jacobian")
         J = np.empty((op.d_x, op.d_theta))
         for lo, hi, eye in identity_blocks(op.d_theta):
             J[:, lo:hi] = op.jvp(eye)
@@ -557,9 +557,10 @@ def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
     raise ValueError("by must be 'rows' or 'columns'")
 
 
-# Identity columns per block product when J is made dense.  On LeNet a
-# VJP of 2-12 columns costs 25-30 % less per column than a single VJP;
-# from 16 columns on, its temporaries pass glibc's mmap threshold and
+# Identity columns per block product when J or its Gram J J^T is made
+# dense; it sets the width of the normal-product block J (J^T E) too.  On
+# LeNet a VJP of 2-12 columns costs 25-30 % less per column than a single
+# VJP; from 16 columns on, its temporaries pass glibc's mmap threshold and
 # page-fault on every call, which makes it twice as slow.
 DENSE_BLOCK = 8
 

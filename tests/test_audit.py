@@ -1,5 +1,5 @@
 """`run_audit` uses each sample's operator once: one block solve, one
-Lanczos lambda_max and at most one dense spectrum per operator, with every
+Lanczos lambda_max and at most one Gram J J^T per operator, with every
 row equal to the lone solve of its perturbation."""
 
 import pytest
@@ -56,12 +56,16 @@ def lambda_per_operator(rows):
 
 @pytest.mark.parametrize("mode", ["conjugate_gradient", "dense"])
 def test_one_lanczos_and_one_dense_j_per_operator(tmp_path, monkeypatch, mode):
+    # in dense mode the singular directions and the solve read one Gram J J^T
+    perturbations = MIXED + SINGULAR if mode == "dense" else MIXED
     lanczos = count_calls(monkeypatch, "lambda_max_power_iteration", influence)
+    grams = count_calls(monkeypatch, "_normal_gram", influence)
     dense_j = count_calls(monkeypatch, "_dense_from_operator", influence)
-    rows, _ = experiments.run_audit(audit_config(tmp_path, MIXED, mode))
-    assert len(rows) == OPERATORS * len(MIXED)
+    rows, _ = experiments.run_audit(audit_config(tmp_path, perturbations, mode))
+    assert len(rows) == OPERATORS * len(perturbations)
     assert len(lanczos) == OPERATORS
-    assert len(dense_j) == (OPERATORS if mode == "dense" else 0)
+    assert len(grams) == (OPERATORS if mode == "dense" else 0)
+    assert not dense_j
     shared = lambda_per_operator(rows)
     assert len(shared) == OPERATORS and all(len(v) == 1 for v in shared.values())
 

@@ -3,6 +3,7 @@ the Gaussian-expectation identity, and the certified bound."""
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from gradleak import (
     i2f_lower_bound,
     initialize_parameters,
     lambda_max_power_iteration,
+    lenet_variant,
     linear_dot_model,
     mlp_model,
     one_layer_model,
@@ -33,8 +35,13 @@ from gradleak import (
 )
 from gradleak.autodiff import conv_geometry
 from gradleak.data import synthetic_samples
-from gradleak.models import ShapeError
-from gradleak.influence import SOLVER_MODES, SingularSpectrumError, _dense_from_operator
+from gradleak.models import BudgetError, ShapeError
+from gradleak.influence import (
+    SOLVER_MODES,
+    SingularSpectrumError,
+    _dense_from_operator,
+    _normal_gram,
+)
 
 LAM_HI = (21 + math.sqrt(185)) / 2  # eigenvalues of JJ^T for J=[[4,0],[1,2]]
 LAM_LO = (21 - math.sqrt(185)) / 2
@@ -297,7 +304,7 @@ def small_stacks(draw):
 @given(small_stacks())
 def test_right_vector_matches_svd_property(op):
     rep = dense_spectrum(op)
-    J, r = rep.J, rep.rank
+    J, r = _dense_from_operator(op, 10 ** 7), rep.rank
     _, s, vt = np.linalg.svd(J, full_matrices=False)  # the independent oracle
     for bad in (r, -1):
         with pytest.raises(IndexError):
@@ -334,6 +341,49 @@ def test_right_vector_sign_convention_property(op):
         v = rep.right_vector(i)
         assert v[np.argmax(np.abs(v))] > 0
         np.testing.assert_array_equal(flipped.right_vector(i), v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_stacks())
+def test_gram_matches_dense_j_property(op):
+    # the Gram built from normal products J (J^T E) is J J^T of the dense J
+    G = _normal_gram(op, 10 ** 7)
+    J = _dense_from_operator(op, 10 ** 7)
+    s0 = np.linalg.norm(J, 2)
+    assert np.array_equal(G, G.T)
+    assert np.abs(G - J @ J.T).max() <= SPECTRAL_TOL * s0 ** 2
+
+
+def test_dense_spectrum_never_holds_j():
+    # LeNet's J is 784 x 11,580 floats (72 MB); the spectrum needs only the
+    # 784 x 784 Gram, its eigenvectors and one block of normal products
+    spec = lenet_variant()
+    params = initialize_parameters(spec, InitScheme("uniform", 0))
+    x = np.random.Generator(np.random.PCG64(0)).uniform(0, 1, spec.input_shape)
+    op = MixedJacobianOperator(spec, params, x, 3)
+    tracemalloc.start()
+    try:
+        rep = dense_spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.rank > 0
+    assert peak < op.d_x * op.d_theta * 8 / 4
+
+
+def test_budget_counts_the_gram_entries():
+    # the Gram paths hold d_x^2 entries, not the d_x d_theta of J
+    op = mlp_operator()
+    budget = op.d_x ** 2
+    assert budget < op.d_x * op.d_theta
+    rep = dense_spectrum(op, budget=budget)
+    assert rep.rank == op.d_x
+    dense = SolverConfig(mode="dense", epsilon=0.5)
+    assert i2f_exact(op, np.ones(op.d_theta), dense, budget=budget).exact_value > 0
+    for call in (lambda: dense_spectrum(op, budget=budget - 1),
+                 lambda: i2f_exact(op, np.ones(op.d_theta), dense, budget=budget - 1)):
+        with pytest.raises(BudgetError, match=f"Gram matrix J J\\^T needs {budget} entries"):
+            call()
 
 
 def power_iteration_trace(op, iters, seed):
