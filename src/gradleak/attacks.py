@@ -34,6 +34,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ("dgl", "gs"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        if self.dummy_init not in ("uniform01", "gaussian"):
+            raise ValueError(f"unknown dummy init {self.dummy_init!r}")
         if self.iterations < 1 or self.learning_rate <= 0:
             raise ValueError("need iterations >= 1 and learning_rate > 0")
 
@@ -86,9 +88,7 @@ def _dummy_init(spec, cfg):
     shape = tuple(spec.input_shape)
     if cfg.dummy_init == "uniform01":
         return rng.uniform(0.0, 1.0, size=shape)
-    if cfg.dummy_init == "gaussian":
-        return rng.normal(0.0, 1.0, size=shape)
-    raise ValueError(f"unknown dummy init {cfg.dummy_init!r}")
+    return rng.normal(0.0, 1.0, size=shape)  # gaussian
 
 
 def _objective_grad(spec, params, x, y, g_target, kind):

@@ -1,18 +1,21 @@
 """Experiment configuration: one strict JSON document per run.
 
-Unknown keys are rejected so a typo fails fast instead of silently
-running the default.  Every run carries a mandatory seed; nothing is
-seeded from the clock.
+Every default and type lives once, on its dataclass; `_section` reads
+each section into its dataclass.  Unknown keys are rejected so a typo
+fails fast instead of silently running the default.  Every run carries a
+mandatory seed; nothing is seeded from the clock.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .attacks import AttackConfig
+from .data import SYNTHETIC_KINDS
 from .influence import SolverConfig
 from .models import InitScheme
 
@@ -21,33 +24,87 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(d, key, default=None, required=False):
-    if required and key not in d:
-        raise ConfigError(f"missing required key {key!r}")
-    return d.pop(key, default)
+_JSON_TYPES = {  # annotation -> (Python type of the parsed JSON value, JSON name)
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "tuple": (list, "a list"),
+    "dict": (dict, "an object"),
+    "None": (type(None), "null"),
+}
 
 
-def _no_leftovers(d, context):
-    if d:
-        raise ConfigError(f"unknown keys in {context}: {sorted(d)}")
+def typed(value, annotation, where):
+    """`value` if it has the JSON type that `annotation` names, else ConfigError.
+    A bool is no number and NaN or Infinity no JSON number; a float comes back
+    as a float and a list as a tuple, whose entries `tuple[T, ...]` checks as
+    T; a dict is an object; `X | None` also takes null."""
+    names = [name.partition("[") for name in annotation.split(" | ")]
+    for base, _, item in names:
+        is_bool = isinstance(value, bool)  # a bool is also a Python int
+        if not isinstance(value, _JSON_TYPES[base][0]) or is_bool != (base == "bool"):
+            continue
+        if base == "float":
+            if math.isfinite(value):
+                return float(value)
+        elif base == "tuple":
+            return tuple(typed(v, item[:-len(", ...]")], f"{where}[{i}]") if item else v
+                         for i, v in enumerate(value))
+        else:
+            return value
+    want = " or ".join(_JSON_TYPES[base][1] for base, _, _ in names)
+    raise ConfigError(f"{where} must be {want}, got {json.dumps(value)}")
+
+
+def _section(cls, doc, context, skip=(), **given):
+    """`cls` with each field not given or skipped read from its key in `doc`
+    by `typed`, or its default if the key is absent.  Leftover keys, a
+    skipped field's too, are unknown; a ValueError from `cls` is a ConfigError."""
+    doc = dict(typed(doc, "dict", context))
+    for f in fields(cls):
+        if f.name in given or f.name in skip:
+            continue
+        if f.name in doc:
+            given[f.name] = typed(doc.pop(f.name), f.type, f"{context}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{context}: missing required key {f.name!r}")
+    if doc:
+        raise ConfigError(f"unknown keys in {context}: {sorted(doc)}")
+    try:
+        return cls(**given)
+    except ValueError as e:
+        raise ConfigError(f"{context}: {e}") from e
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str  # linear | one_layer | mlp | lenet
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # typed by build_model_from_config
 
 
 @dataclass(frozen=True)
 class DataConfig:
     kind: str  # synthetic | idx
     synthetic_kind: str = "gaussian_blobs"
-    shape: tuple = (1, 28, 28)
+    shape: tuple[int, ...] = (1, 28, 28)
     count: int = 10
     seed: int = 0
     num_classes: int = 10
     images_path: str | None = None
     labels_path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "idx"):
+            raise ConfigError(f"unknown data kind {self.kind!r}")
+        if self.count < 1:
+            raise ConfigError(f"count must be >= 1, got {self.count}")
+        if self.synthetic_kind not in SYNTHETIC_KINDS:
+            raise ConfigError(f"unknown synthetic kind {self.synthetic_kind!r}")
+        if self.kind == "idx":
+            for p in (self.images_path, self.labels_path):
+                if p is None or not os.path.exists(p):
+                    raise ConfigError(f"idx data file missing: {p}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +115,21 @@ class PerturbationConfig:
     index: int = 0
     scale: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "prune", "singular_direction"):
+            raise ConfigError(f"unknown kind {self.kind!r}")
+        if self.variance < 0 or not 0 <= self.ratio <= 1 or self.scale < 0:
+            raise ConfigError("out-of-range values")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 0
     lr: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 0 or self.lr < 0:
+            raise ConfigError("need epochs >= 0 and lr >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,127 +137,54 @@ class ExperimentConfig:
     model: ModelConfig
     init: InitScheme
     data: DataConfig
-    samples: int
     perturbations: tuple
     solver: SolverConfig
     attack: AttackConfig
     train: TrainConfig
-    output_dir: str
     seed: int
+    samples: int = 10
+    output_dir: str = "out"
     dump_images: bool = False
     repetitions: int = 3
-    init_schemes: tuple = ("uniform", "normal", "kaiming", "xavier")
+    init_schemes: tuple[str, ...] = ("uniform", "normal", "kaiming", "xavier")
     eigen_directions: int = 4
     raw: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        for name in ("samples", "repetitions", "eigen_directions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for kind in self.init_schemes:
+            InitScheme(kind)
 
     def config_hash(self):
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _required(doc, key):
+    if key not in doc:
+        raise ConfigError(f"config: missing required key {key!r}")
+    return doc.pop(key)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     raw = json.loads(json.dumps(doc))  # defensive copy, also checks JSON-ability
-    doc = dict(doc)
-
-    m = dict(_take(doc, "model", required=True))
-    model = ModelConfig(kind=_take(m, "kind", required=True), options=m)
-
-    i = dict(_take(doc, "init", default={"kind": "uniform", "seed": 0}))
-    init = InitScheme(kind=_take(i, "kind", "uniform"), seed=int(_take(i, "seed", 0)))
-    _no_leftovers(i, "init")
-
-    d = dict(_take(doc, "data", required=True))
-    data = DataConfig(
-        kind=_take(d, "kind", required=True),
-        synthetic_kind=_take(d, "synthetic_kind", "gaussian_blobs"),
-        shape=tuple(_take(d, "shape", [1, 28, 28])),
-        count=int(_take(d, "count", 10)),
-        seed=int(_take(d, "seed", 0)),
-        num_classes=int(_take(d, "num_classes", 10)),
-        images_path=_take(d, "images_path"),
-        labels_path=_take(d, "labels_path"),
+    doc = dict(typed(doc, "dict", "config"))
+    model = dict(typed(_required(doc, "model"), "dict", "model"))
+    options = {k: model.pop(k) for k in list(model) if k != "kind"}
+    sections = dict(
+        model=_section(ModelConfig, model, "model", options=options),
+        init=_section(InitScheme, doc.pop("init", {}), "init"),
+        data=_section(DataConfig, _required(doc, "data"), "data"),
+        perturbations=tuple(_section(PerturbationConfig, p, f"perturbations[{j}]")
+                            for j, p in enumerate(typed(doc.pop("perturbations", []),
+                                                        "tuple", "perturbations"))),
+        solver=_section(SolverConfig, doc.pop("solver", {}), "solver"),
+        attack=_section(AttackConfig, doc.pop("attack", {}), "attack", skip=("seed",)),
+        train=_section(TrainConfig, doc.pop("train", {}), "train"),
     )
-    _no_leftovers(d, "data")
-    if data.kind not in ("synthetic", "idx"):
-        raise ConfigError(f"unknown data kind {data.kind!r}")
-    if data.kind == "idx":
-        for p in (data.images_path, data.labels_path):
-            if p is None or not os.path.exists(p):
-                raise ConfigError(f"idx data file missing: {p}")
-
-    perts = []
-    for j, p in enumerate(_take(doc, "perturbations", default=[])):
-        p = dict(p)
-        kind = _take(p, "kind", required=True)
-        if kind not in ("gaussian", "prune", "singular_direction"):
-            raise ConfigError(f"perturbation {j}: unknown kind {kind!r}")
-        pert = PerturbationConfig(
-            kind=kind,
-            variance=float(_take(p, "variance", 0.0)),
-            ratio=float(_take(p, "ratio", 0.0)),
-            index=int(_take(p, "index", 0)),
-            scale=float(_take(p, "scale", 1.0)),
-        )
-        _no_leftovers(p, f"perturbations[{j}]")
-        if pert.variance < 0 or not 0 <= pert.ratio <= 1 or pert.scale < 0:
-            raise ConfigError(f"perturbations[{j}]: out-of-range values")
-        perts.append(pert)
-
-    s = dict(_take(doc, "solver", default={}))
-    try:
-        solver = SolverConfig(
-            mode=_take(s, "mode", "conjugate_gradient"),
-            epsilon=float(_take(s, "epsilon", 1.0)),
-            max_iters=int(_take(s, "max_iters", 500)),
-            tolerance=float(_take(s, "tolerance", 1e-10)),
-            step_size=_take(s, "step_size"),
-            seed=int(_take(s, "seed", 0)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    _no_leftovers(s, "solver")
-
-    a = dict(_take(doc, "attack", default={}))
-    try:
-        attack = AttackConfig(
-            kind=_take(a, "kind", "dgl"),
-            iterations=int(_take(a, "iterations", 3000)),
-            learning_rate=float(_take(a, "learning_rate", 0.1)),
-            beta1=float(_take(a, "beta1", 0.9)),
-            beta2=float(_take(a, "beta2", 0.999)),
-            adam_eps=float(_take(a, "adam_eps", 1e-8)),
-            dummy_init=_take(a, "dummy_init", "uniform01"),
-            box_projection=_take(a, "box_projection"),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    _no_leftovers(a, "attack")
-
-    t = dict(_take(doc, "train", default={}))
-    train = TrainConfig(epochs=int(_take(t, "epochs", 0)), lr=float(_take(t, "lr", 0.1)))
-    _no_leftovers(t, "train")
-
-    if "seed" not in doc:
-        raise ConfigError("a top-level seed is mandatory")
-    cfg = ExperimentConfig(
-        model=model,
-        init=init,
-        data=data,
-        samples=int(_take(doc, "samples", 10)),
-        perturbations=tuple(perts),
-        solver=solver,
-        attack=attack,
-        train=train,
-        output_dir=_take(doc, "output_dir", "out"),
-        seed=int(_take(doc, "seed")),
-        dump_images=bool(_take(doc, "dump_images", False)),
-        repetitions=int(_take(doc, "repetitions", 3)),
-        init_schemes=tuple(_take(doc, "init_schemes", ["uniform", "normal", "kaiming", "xavier"])),
-        eigen_directions=int(_take(doc, "eigen_directions", 4)),
-        raw=raw,
-    )
-    _no_leftovers(doc, "config")
-    return cfg
+    return _section(ExperimentConfig, doc, "config", raw=raw, **sections)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,6 +10,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+SYNTHETIC_KINDS = ("gaussian_blobs", "separable_2class", "checkerboard")
 
 
 class IdxFormatError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models as zoo
 from .attacks import gaussian_perturbation, prune_gradient, run_attack, singular_direction_perturbation
-from .config import ConfigError, ExperimentConfig, job_seed
+from .config import ConfigError, ExperimentConfig, job_seed, typed
 from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
     MixedJacobianOperator,
@@ -30,39 +30,41 @@ from .influence import (
     lambda_max_power_iteration,
     theorem_bound,
 )
-from .models import InitScheme, initialize_parameters
+from .models import InitScheme, ShapeError, initialize_parameters
+
+
+# each model kind's zoo constructor and the types of its options; an absent
+# option takes the constructor's default, or the data section's size and classes
+MODELS = {
+    "linear": (zoo.linear_dot_model, {"d": "int"}),
+    "one_layer": (zoo.one_layer_model, {"d": "int", "activation": "str", "target": "float"}),
+    "mlp": (zoo.mlp_model, {"d": "int", "hidden": "int", "num_classes": "int",
+                            "activation": "str"}),
+    "lenet": (zoo.lenet_variant, {"in_channels": "int", "image_size": "int", "channels": "int",
+                                  "kernel": "int", "stride": "int", "padding": "int",
+                                  "num_classes": "int", "activation": "str"}),
+}
 
 
 def build_model_from_config(cfg: ExperimentConfig):
-    kind = cfg.model.kind
-    opt = dict(cfg.model.options)
-    d_default = int(np.prod(cfg.data.shape))
-    if kind == "linear":
-        spec = zoo.linear_dot_model(int(opt.pop("d", d_default)))
-    elif kind == "one_layer":
-        spec = zoo.one_layer_model(int(opt.pop("d", d_default)),
-                                   opt.pop("activation", "sigmoid"),
-                                   float(opt.pop("target", 0.0)))
-    elif kind == "mlp":
-        spec = zoo.mlp_model(int(opt.pop("d", d_default)), int(opt.pop("hidden", 16)),
-                             int(opt.pop("num_classes", cfg.data.num_classes)),
-                             opt.pop("activation", "sigmoid"))
-    elif kind == "lenet":
-        spec = zoo.lenet_variant(
-            in_channels=int(opt.pop("in_channels", cfg.data.shape[0])),
-            image_size=int(opt.pop("image_size", cfg.data.shape[-1])),
-            channels=int(opt.pop("channels", 12)),
-            kernel=int(opt.pop("kernel", 5)),
-            stride=int(opt.pop("stride", 2)),
-            padding=int(opt.pop("padding", 2)),
-            num_classes=int(opt.pop("num_classes", cfg.data.num_classes)),
-            activation=opt.pop("activation", "sigmoid"),
-        )
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if opt:
-        raise ConfigError(f"unknown model options: {sorted(opt)}")
-    return spec
+    """The zoo model the model section names, its options checked by the
+    config reader's type rule; a model that does not compose is a ConfigError."""
+    if cfg.model.kind not in MODELS:
+        raise ConfigError(f"unknown model kind {cfg.model.kind!r}")
+    build, types = MODELS[cfg.model.kind]
+    unknown = sorted(set(cfg.model.options) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown model options: {unknown}")
+    shape = cfg.data.shape
+    from_data = {"d": int(np.prod(shape)), "in_channels": shape[0], "image_size": shape[-1],
+                 "num_classes": cfg.data.num_classes}
+    kwargs = {key: value for key, value in from_data.items() if key in types}
+    kwargs.update((key, typed(value, types[key], f"model.{key}"))
+                  for key, value in cfg.model.options.items())
+    try:
+        return build(**kwargs)
+    except ShapeError as e:
+        raise ConfigError(f"model: {e}") from e
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:

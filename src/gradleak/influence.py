@@ -27,7 +27,6 @@ class SolverConfig:
     epsilon: float = 1.0
     max_iters: int = 500
     tolerance: float = 1e-10
-    step_size: float | None = None  # gradient_descent; default 1/(lambda_max+eps)
     seed: int = 0
 
     def __post_init__(self):
@@ -153,16 +152,13 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
         B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
     else:
         lam, _, _, _ = lambda_max_power_iteration(operator, seed=cfg.seed)
+        alpha = 1.0 / (lam + eps)  # the step that makes both iterations contract
         if cfg.mode == "gradient_descent":
-            step = cfg.step_size if cfg.step_size is not None else 1.0 / (lam + eps)
-
             def update(b, c):
                 r = matvec(b) - c
-                return b - step * r, r
+                return b - alpha * r, r
             B = np.zeros_like(C)
-        else:  # neumann, pre-scaled so the recursion contracts
-            alpha = 1.0 / (lam + eps)
-
+        else:  # neumann, pre-scaled by the same step
             def update(s, c):
                 s = s - alpha * matvec(s) + alpha * c
                 return s, matvec(s) - c

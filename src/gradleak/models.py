@@ -141,8 +141,12 @@ def parameter_slots(spec: ModelSpec):
 
 @dataclass(frozen=True)
 class InitScheme:
-    kind: str  # uniform | normal | kaiming | xavier
-    seed: int
+    kind: str = "uniform"
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("uniform", "normal", "kaiming", "xavier"):
+            raise ValueError(f"unknown init scheme {self.kind!r}")
 
 
 def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
@@ -161,11 +165,9 @@ def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
         elif scheme.kind == "kaiming":
             bound = math.sqrt(6.0 / fan_in)
             block = rng.uniform(-bound, bound, size=n)
-        elif scheme.kind == "xavier":
+        else:  # xavier
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             block = rng.uniform(-bound, bound, size=n)
-        else:
-            raise ValueError(f"unknown init scheme {scheme.kind!r}")
         theta[off:off + n] = block
     return ParameterSet(theta, slots)
 
@@ -647,8 +649,8 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
 # minimal per-sample SGD trainer
 
 
-def train_model(spec, params, dataset, epochs, lr, snapshot_every=1):
-    """Plain SGD, one sample at a time in dataset order; returns snapshots."""
+def train_model(spec, params, dataset, epochs, lr):
+    """Plain SGD, one sample at a time in dataset order; one snapshot per epoch."""
     _require_built(spec)
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -662,8 +664,7 @@ def train_model(spec, params, dataset, epochs, lr, snapshot_every=1):
             theta = theta - lr * MixedJacobianOperator(spec, cur, sample.image, sample.label).g_theta
             if not np.all(np.isfinite(theta)):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
-        if (epoch + 1) % snapshot_every == 0 or epoch == epochs - 1:
-            snapshots.append(params.with_theta(theta.copy()))
+        snapshots.append(params.with_theta(theta.copy()))
     return snapshots
 
 
@@ -688,11 +689,11 @@ def one_layer_model(d, activation="sigmoid", target=0.0):
     return build_model(spec)
 
 
-def mlp_model(d_in, hidden, num_classes, activation="sigmoid"):
+def mlp_model(d, hidden=16, num_classes=10, activation="sigmoid"):
     spec = ModelSpec(
-        layers=[Linear(d_in, hidden), Activation(activation), Linear(hidden, num_classes)],
+        layers=[Linear(d, hidden), Activation(activation), Linear(hidden, num_classes)],
         loss="cross_entropy",
-        input_shape=(d_in,),
+        input_shape=(d,),
         num_classes=num_classes,
     )
     return build_model(spec)

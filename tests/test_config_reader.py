@@ -1,0 +1,201 @@
+"""The typed config reader: every key takes the JSON type its dataclass
+field names, kinds and ranges are checked where the config is read, and a
+malformed config is one `config error:` line with exit code 2."""
+
+import copy
+import dataclasses
+import glob
+import json
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradleak import experiments
+from gradleak.attacks import AttackConfig
+from gradleak.cli import main
+from gradleak.config import (ConfigError, DataConfig, ExperimentConfig, ModelConfig,
+                             PerturbationConfig, TrainConfig, load_config, parse_config)
+from gradleak.influence import SolverConfig
+from gradleak.models import InitScheme
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASE = {
+    "model": {"kind": "linear", "d": 9},
+    "data": {"kind": "synthetic", "synthetic_kind": "gaussian_blobs",
+             "shape": [1, 3, 3], "count": 3, "seed": 1, "num_classes": 3},
+    "samples": 1,
+    "perturbations": [{"kind": "gaussian", "variance": 1e-3}],
+    "solver": {"mode": "dense", "epsilon": 0.0},
+    "attack": {"kind": "dgl", "iterations": 5},
+    "seed": 7,
+}
+
+
+def with_value(path, value):
+    """A copy of BASE with the key at `path` (section keys or list indices,
+    then the key) set to `value`."""
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+def assert_cli_config_error(tmp_path, capsys, doc, *argv, command="audit"):
+    doc = {"output_dir": str(tmp_path / "out"), **doc}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# (path, a value of the wrong JSON type): every annotation the reader types
+WRONG_TYPES = [
+    (("data", "count"), "ten"),                          # int
+    (("data", "count"), 2.7),
+    (("attack", "iterations"), True),
+    (("samples",), "x"),
+    (("seed",), "abc"),
+    (("solver", "max_iters"), None),
+    (("solver", "epsilon"), "1"),                        # float
+    (("train", "lr"), True),
+    (("solver", "epsilon"), float("nan")),
+    (("perturbations", 0, "variance"), float("inf")),
+    (("perturbations", 0, "variance"), [1e-3]),
+    (("dump_images",), "false"),                         # bool
+    (("dump_images",), 0),
+    (("attack", "box_projection"), "no"),                # bool | None
+    (("attack", "dummy_init"), 5),                       # str
+    (("output_dir",), 5),
+    (("init", "kind"), 5),
+    (("model", "kind"), 5),
+    (("data", "images_path"), 5),                        # str | None
+    (("data", "shape"), 16),                             # tuple[int, ...]
+    (("data", "shape"), [1, "a", 3]),
+    (("init_schemes",), "uniform"),                      # tuple[str, ...]
+    (("init_schemes",), ["uniform", 5]),
+    (("perturbations",), {"kind": "gaussian"}),          # tuple
+    (("perturbations",), ["gaussian"]),                  # a section
+    (("model",), "linear"),
+    (("solver",), 5),
+    (("train",), None),
+]
+
+
+@pytest.mark.parametrize("path,value", WRONG_TYPES,
+                         ids=[f"{'.'.join(map(str, p))}={json.dumps(v)}" for p, v in WRONG_TYPES])
+def test_wrong_json_type_is_a_config_error(tmp_path, capsys, path, value):
+    doc = with_value(path, value)
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    assert_cli_config_error(tmp_path, capsys, doc)
+
+
+MODEL_OPTIONS = ([("linear", "d", "x"), ("mlp", "hidden", 2.5), ("mlp", "activation", 5),
+                  ("one_layer", "target", "0"), ("mlp", "num_classes", True)]
+                 + [("lenet", key, 2.5) for key in ("in_channels", "image_size", "channels",
+                                                    "kernel", "stride", "padding", "num_classes")]
+                 + [("lenet", "activation", None)])
+
+
+@pytest.mark.parametrize("kind,key,value", MODEL_OPTIONS)
+def test_model_option_of_wrong_type_is_a_config_error(tmp_path, capsys, kind, key, value):
+    doc = with_value(("model",), {"kind": kind, key: value})
+    with pytest.raises(ConfigError, match=f"model.{key} must be"):
+        experiments.build_model_from_config(parse_config(doc))
+    assert_cli_config_error(tmp_path, capsys, doc)
+
+
+def test_model_that_does_not_compose_is_a_config_error(tmp_path, capsys):
+    doc = with_value(("model",), {"kind": "mlp", "hidden": 4, "activation": "swish"})
+    with pytest.raises(ConfigError, match="unknown activation 'swish'"):
+        experiments.build_model_from_config(parse_config(doc))
+    assert_cli_config_error(tmp_path, capsys, doc)
+
+
+# (path, value, what the error names): unknown kinds and out-of-range values
+KINDS_AND_RANGES = [
+    (("init", "kind"), "bogus", "unknown init scheme 'bogus'"),
+    (("init_schemes",), ["uniform", "bogus"], "unknown init scheme 'bogus'"),
+    (("data", "synthetic_kind"), "bogus", "unknown synthetic kind 'bogus'"),
+    (("attack", "dummy_init"), "bogus", "unknown dummy init 'bogus'"),
+    (("samples",), -1, "samples must be >= 1"),
+    (("repetitions",), 0, "repetitions must be >= 1"),
+    (("eigen_directions",), 0, "eigen_directions must be >= 1"),
+    (("data", "count"), 0, "count must be >= 1"),
+    (("train", "epochs"), -1, "epochs >= 0"),
+    (("train", "lr"), -0.5, "lr >= 0"),
+    (("solver", "step_size"), 0.1, r"unknown keys in solver: \['step_size'\]"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", KINDS_AND_RANGES,
+                         ids=[f"{'.'.join(p)}={json.dumps(v)}" for p, v, _ in KINDS_AND_RANGES])
+def test_kinds_and_ranges_are_checked_when_read(tmp_path, capsys, path, value, message):
+    doc = with_value(path, value)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    command = {"eigen_directions": "eigen-defense", "repetitions": "init-compare",
+               "init_schemes": "init-compare"}.get(path[0], "audit")
+    assert_cli_config_error(tmp_path, capsys, doc, command=command)
+
+
+def test_init_scheme_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown init scheme 'bogus'"):
+        InitScheme("bogus")
+    assert InitScheme() == InitScheme("uniform", 0)
+
+
+def test_limit_goes_through_the_samples_check(tmp_path, capsys):
+    assert_cli_config_error(tmp_path, capsys, BASE, "--limit", "0")
+
+
+def test_minimal_config_takes_the_dataclass_defaults():
+    cfg = parse_config({"model": {"kind": "linear"}, "data": {"kind": "synthetic"}, "seed": 0})
+    assert cfg == ExperimentConfig(ModelConfig("linear"), InitScheme(), DataConfig("synthetic"),
+                                   (), SolverConfig(), AttackConfig(), TrainConfig(), seed=0)
+    pert = parse_config({**BASE, "perturbations": [{"kind": "prune"}]}).perturbations
+    assert pert == (PerturbationConfig("prune"),)
+
+
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "scripts", "configs", "*.json")))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_config_parses(path):
+    with open(path) as f:
+        assert load_config(path).seed == json.load(f)["seed"]
+
+
+# any JSON value, in every key the reader types
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+SECTIONS = {("data",): DataConfig, ("solver",): SolverConfig, ("attack",): AttackConfig,
+            ("train",): TrainConfig, ("init",): InitScheme,
+            ("perturbations", 0): PerturbationConfig, (): ExperimentConfig}
+READ_ELSEWHERE = ("model", "init", "data", "perturbations", "solver", "attack", "train", "raw")
+TYPED_KEYS = [path + (f.name,) for path, cls in SECTIONS.items()
+              for f in dataclasses.fields(cls) if path or f.name not in READ_ELSEWHERE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TYPED_KEYS), json_values)
+def test_any_json_value_parses_or_is_a_config_error(path, value):
+    # an accepted value arrives unchanged: no int from a float, no bool from an int
+    try:
+        cfg = parse_config(with_value(path, value))
+    except ConfigError:
+        return
+    got = cfg
+    for key in path:
+        got = got[key] if isinstance(key, int) else getattr(got, key)
+    assert got == (tuple(value) if isinstance(value, list) else value)
+    assert isinstance(got, bool) == isinstance(value, bool)
