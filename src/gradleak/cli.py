@@ -23,7 +23,7 @@ def _with_overrides(cfg, args):
     if args.out is not None:
         changes["output_dir"] = args.out
     if args.limit is not None:
-        changes["samples"] = args.limit
+        changes["samples"] = min(args.limit, cfg.samples)
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 

@@ -101,6 +101,12 @@ class DataConfig:
             raise ConfigError(f"count must be >= 1, got {self.count}")
         if self.synthetic_kind not in SYNTHETIC_KINDS:
             raise ConfigError(f"unknown synthetic kind {self.synthetic_kind!r}")
+        image = self.kind == "synthetic" and self.synthetic_kind != "separable_2class"  # (c, h, w)
+        if not self.shape or min(self.shape) < 1 or image and len(self.shape) != 3:
+            raise ConfigError(f"shape must hold {'3' if image else 'one or more'} entries, each "
+                              f">= 1, got {list(self.shape)}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.kind == "idx":
             for p in (self.images_path, self.labels_path):
                 if p is None or not os.path.exists(p):

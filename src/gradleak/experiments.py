@@ -1,10 +1,12 @@
 """Desk-scale experiment suite behind the CLI.
 
-Each runner is a pure function of (config, seed): it writes order-stable
-CSVs (plus optional PGM image dumps) into the configured output
-directory and returns the rows it wrote.  Wall-clock measurements are
-kept out of the CSVs so reruns are byte-identical; the efficiency runner
-writes timings to a separate sidecar file instead.
+Each runner is a pure function of (config, seed).  `_start` builds its
+model and data and checks that the data holds `samples` samples before
+it makes the output directory; `_write` writes each order-stable CSV
+under the config hash and seed comment lines.  Runners return the rows
+they wrote, and may dump PGM images.  Wall-clock measurements stay out
+of the CSVs so reruns are byte-identical; the efficiency runner writes
+timings to a separate sidecar file instead.
 """
 
 from __future__ import annotations
@@ -75,6 +77,26 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
                              num_classes=d.num_classes)
 
 
+def _start(cfg: ExperimentConfig):
+    """(spec, dataset) of every runner: the model and the data, which must
+    hold cfg.samples samples before the output directory is made."""
+    spec = build_model_from_config(cfg)
+    dataset = load_dataset(cfg)
+    if cfg.samples > len(dataset):
+        raise ConfigError(f"samples is {cfg.samples} but the data holds {len(dataset)}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return spec, dataset
+
+
+def _write(cfg: ExperimentConfig, name, header, rows):
+    """Write rows to the CSV `name` in the output directory, under the
+    config hash and seed comment lines; return its path."""
+    path = os.path.join(cfg.output_dir, name)
+    write_report_csv(rows, path, header=header,
+                     comments=[f"config_hash={cfg.config_hash()}", f"seed={cfg.seed}"])
+    return path
+
+
 def model_input(spec, sample):
     img = np.asarray(sample.image, dtype=np.float64)
     want = tuple(spec.input_shape)
@@ -123,10 +145,6 @@ def _sample_operators(spec, params, dataset, n, seed):
         yield si, sample, x, y, op
 
 
-def _csv_comments(cfg):
-    return [f"config_hash={cfg.config_hash()}", f"seed={cfg.seed}"]
-
-
 def _parameter_epochs(cfg, spec, dataset):
     """(epoch, ParameterSet) list: the initialization plus optional SGD snapshots."""
     params = initialize_parameters(spec, cfg.init)
@@ -160,17 +178,14 @@ def run_audit(cfg: ExperimentConfig):
     A sample's perturbations are one (d_theta, P) block and share one Lanczos
     and at most one Gram J J^T, which the singular directions and the dense
     solve both read."""
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     header = ["sample", "epoch", "pert_kind", "pert_param", "delta_norm", "epsilon",
               "i2f_exact", "i2f_lower_bound", "lambda_max", "attack_kind",
               "attack_l2", "attack_rmse", "attack_final_loss"]
     rows = []
-    n = min(cfg.samples, len(dataset))
     needs_spectrum = any(p.kind == "singular_direction" for p in cfg.perturbations)
     for epoch, params in _parameter_epochs(cfg, spec, dataset):
-        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
+        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
             g0 = op.g_theta
             spectrum = dense_spectrum(op) if needs_spectrum else None
             realized = [_realize_perturbation(pert, op, g0, job_seed(cfg.seed, epoch, si, pi),
@@ -185,14 +200,11 @@ def run_audit(cfg: ExperimentConfig):
                 atk_cfg = _attack_config(cfg, job_seed(cfg.seed, epoch, si, pi, 1))
                 res = run_attack(spec, params, g0 + delta, y, atk_cfg, x0=x0)
                 if cfg.dump_images:
-                    _dump_pair(cfg.output_dir, f"audit_e{epoch}_s{si}_p{pi}", x0, res.x_star,
-                               np.asarray(sample.image).shape)
+                    _dump_pair(cfg, f"audit_e{epoch}_s{si}_p{pi}", sample, res.x_star)
                 rows.append([si, epoch, pert.kind, param_val, float(np.linalg.norm(delta)),
                              cfg.solver.epsilon, float(exact[pi]), float(lb.lower_bound[pi]),
                              lb.lambda_max, cfg.attack.kind, res.l2, res.rmse, res.final_loss])
-    path = os.path.join(cfg.output_dir, "audit.csv")
-    write_report_csv(rows, path, header=header, comments=_csv_comments(cfg))
-    return rows, path
+    return rows, _write(cfg, "audit.csv", header, rows)
 
 
 def _direction_indices(rank, k):
@@ -201,16 +213,13 @@ def _direction_indices(rank, k):
 
 def run_eigen_defense(cfg: ExperimentConfig):
     """Equal-norm perturbations along singular directions spanning the spectrum."""
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     scale = next((p.scale for p in cfg.perturbations if p.kind == "singular_direction"), 1.0)
     header = ["sample", "direction_rank", "sigma", "lambda", "inv_sigma", "inv_lambda",
               "delta_norm", "attack_l2", "attack_mse"]
     rows = []
-    n = min(cfg.samples, len(dataset))
     params = initialize_parameters(spec, cfg.init)
-    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
+    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
         rep = dense_spectrum(op)
         if rep.rank == 0:
             raise SingularSpectrumError(f"J has rank 0 at sample {si}: "
@@ -221,30 +230,24 @@ def run_eigen_defense(cfg: ExperimentConfig):
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, di))
             res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
             if cfg.dump_images:
-                _dump_pair(cfg.output_dir, f"eigen_s{si}_d{di}", x0, res.x_star,
-                           np.asarray(sample.image).shape)
+                _dump_pair(cfg, f"eigen_s{si}_d{di}", sample, res.x_star)
             rows.append([si, di, float(s[di]), float(s[di] ** 2), float(1.0 / s[di]),
                          float(1.0 / s[di] ** 2), float(np.linalg.norm(delta)),
                          res.l2, res.rmse ** 2])
-    path = os.path.join(cfg.output_dir, "eigen_defense.csv")
-    write_report_csv(rows, path, header=header, comments=_csv_comments(cfg))
-    return rows, path
+    return rows, _write(cfg, "eigen_defense.csv", header, rows)
 
 
 def run_fairness(cfg: ExperimentConfig):
     """Per-sample attack MSE under one fixed Gaussian noise level, plus
     per-class aggregates; surfaces the spread that a mean hides."""
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     variance = next((p.variance for p in cfg.perturbations if p.kind == "gaussian"), 1e-3)
     params = initialize_parameters(spec, cfg.init)
     sample_header = ["sample", "label", "variance", "delta_norm", "i2f_lower_bound",
                      "attack_l2", "attack_mse"]
     rows = []
-    n = min(cfg.samples, len(dataset))
     results = []
-    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
+    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
         _, delta = gaussian_perturbation(op.g_theta, variance, seed=job_seed(cfg.seed, si))
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1))
         atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, 2))
@@ -252,8 +255,7 @@ def run_fairness(cfg: ExperimentConfig):
         rows.append([si, sample.label, variance, float(np.linalg.norm(delta)),
                      lb.lower_bound, res.l2, res.rmse ** 2])
         results.append((si, sample, res))
-    sample_path = os.path.join(cfg.output_dir, "fairness_samples.csv")
-    write_report_csv(rows, sample_path, header=sample_header, comments=_csv_comments(cfg))
+    sample_path = _write(cfg, "fairness_samples.csv", sample_header, rows)
 
     class_rows = []
     by_class = {}
@@ -263,31 +265,26 @@ def run_fairness(cfg: ExperimentConfig):
         mses = np.array(by_class[label])
         class_rows.append([label, len(mses), float(mses.mean()),
                            float(mses.var()) if len(mses) > 1 else 0.0])
-    class_path = os.path.join(cfg.output_dir, "fairness_classes.csv")
-    write_report_csv(class_rows, class_path, header=["label", "count", "mean_mse", "var_mse"],
-                     comments=_csv_comments(cfg))
+    class_path = _write(cfg, "fairness_classes.csv", ["label", "count", "mean_mse", "var_mse"],
+                        class_rows)
 
-    if cfg.dump_images and results:
+    if cfg.dump_images:
         ordered = sorted(results, key=lambda t: t[2].rmse)
         for tag, (si, sample, res) in (("best", ordered[0]), ("worst", ordered[-1])):
-            _dump_pair(cfg.output_dir, f"fairness_{tag}_s{si}", model_input(spec, sample),
-                       res.x_star, np.asarray(sample.image).shape)
+            _dump_pair(cfg, f"fairness_{tag}_s{si}", sample, res.x_star)
     return rows, class_rows, sample_path, class_path
 
 
 def run_init_compare(cfg: ExperimentConfig):
     """Attack the same samples under each initialization scheme."""
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     variance = next((p.variance for p in cfg.perturbations if p.kind == "gaussian"), 1e-3)
     header = ["scheme", "sample", "repetition", "variance", "expected_sq_risk",
               "attack_l2", "attack_mse"]
     rows = []
-    n = min(cfg.samples, len(dataset))
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
-        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, n, cfg.seed):
+        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
             spectrum = dense_spectrum(op)
             try:
                 exp_risk = expected_gaussian_risk(spectrum, variance)
@@ -302,9 +299,7 @@ def run_init_compare(cfg: ExperimentConfig):
                 atk_cfg = _attack_config(cfg, job_seed(seed, 1))
                 res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
                 rows.append([scheme_kind, si, rep, variance, exp_risk, res.l2, res.rmse ** 2])
-    path = os.path.join(cfg.output_dir, "init_compare.csv")
-    write_report_csv(rows, path, header=header, comments=_csv_comments(cfg))
-    return rows, path
+    return rows, _write(cfg, "init_compare.csv", header, rows)
 
 
 def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0.1, 0.05, 0.01)):
@@ -313,16 +308,9 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
     Iteration traces go into the CSV (deterministic); wall-clock numbers
     go into a sidecar timings file, which reruns may legitimately change.
     """
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     params = initialize_parameters(spec, cfg.init)
-    sample = dataset[0]
-    x0 = model_input(spec, sample)
-    y = model_label(spec, sample)
-
-    op = MixedJacobianOperator(spec, params, x0, y)
-    _check_kernel(op, params, x0, y, cfg.seed)
+    _, _, x0, y, op = next(_sample_operators(spec, params, dataset, 1, cfg.seed))
     power_rows = []
     metric_time = 0.0
     for s in range(n_seeds):
@@ -331,9 +319,8 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
                                                     seed=job_seed(cfg.seed, s))
         metric_time = max(metric_time, time.perf_counter() - t0)
         power_rows += [[s, i, v] for i, v in enumerate(trace)]
-    power_path = os.path.join(cfg.output_dir, "efficiency_power_iteration.csv")
-    write_report_csv(power_rows, power_path, header=["seed", "iteration", "lambda_estimate"],
-                     comments=_csv_comments(cfg))
+    _write(cfg, "efficiency_power_iteration.csv", ["seed", "iteration", "lambda_estimate"],
+           power_rows)
 
     attack_rows = []
     attack_time = float("inf")
@@ -343,10 +330,8 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
             res = run_attack(spec, params, op.g_theta, y, atk_cfg, x0=x0)
             attack_time = min(attack_time, res.wall_time)
             attack_rows += [[lr, s, i, v] for i, v in enumerate(res.loss_trace)]
-    attack_path = os.path.join(cfg.output_dir, "efficiency_attack.csv")
-    write_report_csv(attack_rows, attack_path,
-                     header=["learning_rate", "seed", "iteration", "inversion_loss"],
-                     comments=_csv_comments(cfg))
+    _write(cfg, "efficiency_attack.csv", ["learning_rate", "seed", "iteration", "inversion_loss"],
+           attack_rows)
 
     ratio = attack_time / metric_time if metric_time > 0 else float("inf")
     with open(os.path.join(cfg.output_dir, "efficiency_timings.txt"), "w") as f:
@@ -357,33 +342,27 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
 
 
 def run_spectrum(cfg: ExperimentConfig):
-    spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    spec, dataset = _start(cfg)
     params = initialize_parameters(spec, cfg.init)
     rows = []
-    n = min(cfg.samples, len(dataset))
-    for si, _, _, _, op in _sample_operators(spec, params, dataset, n, cfg.seed):
+    for si, _, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
         rep = dense_spectrum(op)
         rows += [[si, i, float(lam), float(sig)]
                  for i, (lam, sig) in enumerate(zip(rep.eigenvalues, rep.singular_values))]
-    path = os.path.join(cfg.output_dir, "spectrum.csv")
-    write_report_csv(rows, path, header=["sample", "rank", "eigenvalue", "singular_value"],
-                     comments=_csv_comments(cfg))
-    return rows, path
+    return rows, _write(cfg, "spectrum.csv", ["sample", "rank", "eigenvalue", "singular_value"],
+                        rows)
 
 
-def _dump_pair(out_dir, tag, x0, x_star, image_shape=None):
-    if image_shape is not None:
-        x0 = np.asarray(x0).reshape(image_shape)
-        x_star = np.asarray(x_star).reshape(image_shape)
+def _dump_pair(cfg, tag, sample, x_star):
+    """PGM dumps of a sample's image and its recovery x_star, in the image's
+    shape (a vector as one row); single-channel images only."""
+    x0 = np.asarray(sample.image, dtype=np.float64)
     if x0.ndim == 3 and x0.shape[0] != 1:
-        return  # PGM dumps are for single-channel images only
-    if x0.ndim == 1:
-        x0 = x0.reshape(1, -1)
-        x_star = np.asarray(x_star).reshape(1, -1)
-    write_pgm(np.clip(x0, 0.0, 1.0), os.path.join(out_dir, f"{tag}_original.pgm"))
-    write_pgm(np.clip(x_star, 0.0, 1.0), os.path.join(out_dir, f"{tag}_recovered.pgm"))
+        return
+    shape = (1, -1) if x0.ndim == 1 else x0.shape
+    for name, image in (("original", x0), ("recovered", x_star)):
+        write_pgm(np.clip(np.reshape(image, shape), 0.0, 1.0),
+                  os.path.join(cfg.output_dir, f"{tag}_{name}.pgm"))
 
 
 # ---------------------------------------------------------------------------

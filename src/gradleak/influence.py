@@ -27,7 +27,6 @@ class SolverConfig:
     epsilon: float = 1.0
     max_iters: int = 500
     tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in SOLVER_MODES:
@@ -151,7 +150,7 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     elif cfg.mode == "conjugate_gradient":
         B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
     else:
-        lam, _, _, _ = lambda_max_power_iteration(operator, seed=cfg.seed)
+        lam, _, _, _ = lambda_max_power_iteration(operator)
         alpha = 1.0 / (lam + eps)  # the step that makes both iterations contract
         if cfg.mode == "gradient_descent":
             def update(b, c):

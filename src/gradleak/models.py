@@ -11,7 +11,7 @@ graph-free kernel with one pass rule per layer kind
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,25 @@ def _layer_param_shape(layer):
     return None
 
 
+def _affine_out_shape(i, layer, shape):
+    """The output shape of Linear or Conv2d layer i on an input of `shape`;
+    ShapeError unless its sizes, kernel and stride are at least 1, its
+    padding at least 0 and the input fits it."""
+    sizes = astuple(layer)  # Conv2d's padding comes last
+    if min(sizes[:4]) < 1 or min(sizes[4:], default=0) < 0:
+        raise ShapeError(f"layer {i} ({layer}) needs sizes, kernel and stride >= 1 and padding >= 0")
+    if isinstance(layer, Linear):
+        if len(shape) != 1 or shape[0] != layer.in_features:
+            raise ShapeError(f"layer {i} ({layer}) expects a vector of length {layer.in_features}, got shape {shape}")
+        return (layer.out_features,)
+    if len(shape) != 3 or shape[0] != layer.in_channels:
+        raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {shape}")
+    try:
+        return (layer.out_channels,) + ad.conv_geometry(shape, layer.kernel, layer.stride, layer.padding)[2]
+    except ValueError as e:
+        raise ShapeError(f"layer {i}: {e}") from e
+
+
 def build_model(spec: ModelSpec) -> ModelSpec:
     """Validate layer composition, fill in d_x / d_theta and compile the
     kernel's layer plan."""
@@ -86,12 +105,8 @@ def build_model(spec: ModelSpec) -> ModelSpec:
     d_theta = 0
     plan = []
     for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Linear):
-            if len(shape) != 1 or shape[0] != layer.in_features:
-                raise ShapeError(f"layer {i} ({layer}) expects a vector of length {layer.in_features}, got shape {shape}")
-        elif isinstance(layer, Conv2d):
-            if len(shape) != 3 or shape[0] != layer.in_channels:
-                raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {shape}")
+        if isinstance(layer, (Linear, Conv2d)):
+            _affine_out_shape(i, layer, shape)
         elif isinstance(layer, Activation):
             if layer.kind not in ACTIVATIONS:
                 raise ShapeError(f"layer {i}: unknown activation {layer.kind!r}")
@@ -705,10 +720,9 @@ def lenet_variant(in_channels=1, image_size=28, channels=12, kernel=5, stride=2,
     layers = []
     shape = (in_channels, image_size, image_size)
     for i in range(4):
-        c_in = in_channels if i == 0 else channels
-        layers += [Conv2d(c_in, channels, kernel, stride, padding), Activation(activation)]
-        _, _, (oh, ow) = ad.conv_geometry(shape, kernel, stride, padding)
-        shape = (channels, oh, ow)
+        conv = Conv2d(in_channels if i == 0 else channels, channels, kernel, stride, padding)
+        shape = _affine_out_shape(len(layers), conv, shape)
+        layers += [conv, Activation(activation)]
     layers += [Flatten(), Linear(int(np.prod(shape)), num_classes)]
     spec = ModelSpec(layers=layers, loss="cross_entropy",
                      input_shape=(in_channels, image_size, image_size), num_classes=num_classes)

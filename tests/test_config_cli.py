@@ -99,6 +99,22 @@ def test_cli_audit_runs_and_overrides(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "out_a"))
 
 
+def test_limit_above_samples_leaves_samples(tmp_path):
+    # --limit caps the config's samples: 2 of the 3 images, not 3 and not 10
+    out = str(tmp_path / "out")
+    assert main(["audit", "--config", write_doc(tmp_path, base_doc(out)), "--limit", "10"]) == 0
+    assert [r[0] for r in csv_data(out)["audit.csv"][1:]] == ["0", "1"]
+
+
+def test_samples_above_idx_images_is_a_config_error(tmp_path, capsys):
+    # the IDX files hold 2 images; the runner stops before it makes the output directory
+    with open(zero_jacobian_config(tmp_path)) as f:
+        doc = json.load(f)
+    assert main(["spectrum", "--config", write_doc(tmp_path, {**doc, "samples": 3})]) == 2
+    assert capsys.readouterr().err == "config error: samples is 3 but the data holds 2\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_passes(capsys):
     assert main(["validate", "--seed", "0"]) == 0
     out = capsys.readouterr().out

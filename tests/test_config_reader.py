@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradleak import experiments
 from gradleak.attacks import AttackConfig
-from gradleak.cli import main
+from gradleak.cli import build_parser, main
 from gradleak.config import (ConfigError, DataConfig, ExperimentConfig, ModelConfig,
                              PerturbationConfig, TrainConfig, load_config, parse_config)
 from gradleak.influence import SolverConfig
@@ -131,6 +131,12 @@ KINDS_AND_RANGES = [
     (("train", "epochs"), -1, "epochs >= 0"),
     (("train", "lr"), -0.5, "lr >= 0"),
     (("solver", "step_size"), 0.1, r"unknown keys in solver: \['step_size'\]"),
+    (("solver", "seed"), 1, r"unknown keys in solver: \['seed'\]"),
+    (("data", "shape"), [9], r"shape must hold 3 entries, each >= 1, got \[9\]"),
+    (("data", "shape"), [1, 3, 3, 3], "shape must hold 3 entries"),
+    (("data", "shape"), [1, 0, 3], "shape must hold 3 entries, each >= 1"),
+    (("data", "shape"), [], "shape must hold 3 entries"),
+    (("data", "num_classes"), 0, "num_classes must be >= 1"),
 ]
 
 
@@ -143,6 +149,35 @@ def test_kinds_and_ranges_are_checked_when_read(tmp_path, capsys, path, value, m
     command = {"eigen_directions": "eigen-defense", "repetitions": "init-compare",
                "init_schemes": "init-compare"}.get(path[0], "audit")
     assert_cli_config_error(tmp_path, capsys, doc, command=command)
+
+
+# (subcommand, config, what the error names): values that parse but that
+# the run cannot honour, caught before any output directory is made
+RUN_RANGES = (
+    [(command, {**BASE, "samples": 4}, "samples is 4 but the data holds 3")
+     for command in ("audit", "eigen-defense", "fairness", "init-compare", "efficiency",
+                     "spectrum")]
+    + [("audit", with_value(("model",), model), message) for model, message in (
+        ({"kind": "linear", "d": 0}, "layer 0 .* needs sizes, kernel and stride >= 1"),
+        ({"kind": "mlp", "hidden": 0}, "layer 0 .* needs sizes, kernel and stride >= 1"),
+        ({"kind": "lenet", "channels": 0}, "layer 0 .* needs sizes, kernel and stride >= 1"),
+        ({"kind": "lenet", "stride": 0}, "layer 0 .* needs sizes, kernel and stride >= 1"),
+        ({"kind": "lenet", "kernel": -1}, "layer 0 .* needs sizes, kernel and stride >= 1"),
+        ({"kind": "lenet", "padding": -1}, "padding >= 0"),
+        ({"kind": "lenet", "kernel": 9}, r"layer 0: kernel 9 does not fit input \(1, 3, 3\)"),
+        ({"kind": "lenet", "kernel": 3, "padding": 0}, "layer 2: kernel 3 does not fit"),
+    )])
+
+
+@pytest.mark.parametrize("command,doc,message", RUN_RANGES,
+                         ids=[f"{c}:{json.dumps(d['model'])}:samples={d['samples']}"
+                              for c, d, _ in RUN_RANGES])
+def test_out_of_range_run_is_a_config_error(tmp_path, capsys, command, doc, message):
+    assert_cli_config_error(tmp_path, capsys, doc, command=command)
+    run = build_parser().parse_args([command, "--config", "cfg.json"]).runner
+    with pytest.raises(ConfigError, match=message):
+        run(parse_config({**doc, "output_dir": str(tmp_path / "out")}))
+    assert not (tmp_path / "out").exists()
 
 
 def test_init_scheme_rejects_unknown_kind():
