@@ -107,6 +107,10 @@ class DataConfig:
                               f">= 1, got {list(self.shape)}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        two_class = self.synthetic_kind in ("separable_2class", "checkerboard")  # labels 0, 1
+        if self.kind == "synthetic" and two_class and self.num_classes != 2:
+            raise ConfigError(f"{self.synthetic_kind} data has 2 classes: set num_classes to 2, "
+                              f"got {self.num_classes}")
         if self.kind == "idx":
             for p in (self.images_path, self.labels_path):
                 if p is None or not os.path.exists(p):

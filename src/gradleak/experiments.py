@@ -192,8 +192,7 @@ def run_audit(cfg: ExperimentConfig):
                                               spectrum)
                         for pi, pert in enumerate(cfg.perturbations)]
             D = np.stack([delta for delta, _ in realized], axis=1)
-            gram = None if spectrum is None else spectrum.gram
-            exact = i2f_exact(op, D, cfg.solver, gram=gram).exact_value
+            exact = i2f_exact(op, D, cfg.solver, spectrum=spectrum).exact_value
             lb = i2f_lower_bound(op, D, seed=job_seed(cfg.seed, epoch, si),
                                  epsilon=cfg.solver.epsilon)
             for pi, (pert, (delta, param_val)) in enumerate(zip(cfg.perturbations, realized)):
@@ -355,11 +354,12 @@ def run_spectrum(cfg: ExperimentConfig):
 
 def _dump_pair(cfg, tag, sample, x_star):
     """PGM dumps of a sample's image and its recovery x_star, in the image's
-    shape (a vector as one row); single-channel images only."""
+    shape (a vector, or an array of four or more axes, as one row);
+    single-channel images only."""
     x0 = np.asarray(sample.image, dtype=np.float64)
     if x0.ndim == 3 and x0.shape[0] != 1:
         return
-    shape = (1, -1) if x0.ndim == 1 else x0.shape
+    shape = x0.shape if x0.ndim in (2, 3) else (1, -1)
     for name, image in (("original", x0), ("recovered", x_star)):
         write_pgm(np.clip(np.reshape(image, shape), 0.0, 1.0),
                   os.path.join(cfg.output_dir, f"{tag}_{name}.pgm"))

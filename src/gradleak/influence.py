@@ -2,8 +2,9 @@
 
 The central quantity is b = (J J^T + eps I)^{-1} J delta for a gradient
 perturbation delta; ||b|| approximates how far the reconstructed sample
-moves.  Four interchangeable solvers are provided (dense, least-squares
-gradient descent, conjugate gradient, Neumann recursion), all matrix-free
+moves.  Four interchangeable solvers are provided (dense, from the
+eigendecomposition of J J^T; conjugate gradient; gradient descent and the
+Neumann series, two starts of one Richardson iteration), all matrix-free
 except the dense one, plus spectral utilities and the recovery-error bound
 from the Lipschitz constants of the gradient and the Jacobian, a bound
 under estimated constants (see theorem_bound).
@@ -58,8 +59,7 @@ class SpectrumReport:
     rank: int
     rank_threshold: float
     operator: MixedJacobianOperator | None = None  # the J it factors
-    U: np.ndarray | None = None     # eigenvectors of J J^T, columns in eigenvalue order
-    gram: np.ndarray | None = None  # the symmetric J J^T it factors, d_x x d_x
+    U: np.ndarray | None = None  # eigenvectors of J J^T, columns in eigenvalue order
 
     def right_vector(self, i):
         """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank,
@@ -108,11 +108,6 @@ def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1
     return lam, iters, False, trace
 
 
-def _normal_matvec(operator, eps):
-    """S -> S (J J^T + eps I): the normal operator on each row of S."""
-    return lambda s: operator.jvp(operator.vjp(s.T)).T + eps * s
-
-
 def _row_dots(a, b):
     """a_i . b_i for every row i: numpy computes each as one BLAS dot, the
     same call as for a lone vector, so no row depends on the others."""
@@ -124,45 +119,52 @@ def _row_norms(a):
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
-              budget=10_000_000, gram=None) -> I2FReport:
+              budget=10_000_000, spectrum=None) -> I2FReport:
     """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
 
     delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
-    raises ShapeError.  A block is solved column by column in lockstep:
-    each step works on all unconverged columns at once, with the same
-    arithmetic per column as a lone solve, so every column stops where it
-    would have stopped alone.  A 2-D delta, k = 1 included, always gives
-    the block's array fields (see I2FReport).  The dense mode solves with
-    `gram`, the operator's dense_spectrum(...).gram, if given, and builds
-    the same J J^T itself if not; the other modes ignore it."""
+    raises ShapeError.  A 2-D delta, k = 1 included, always gives the
+    block's array fields (see I2FReport), and each column equals its lone
+    solve.  dense applies U diag(1 / (lambda + eps)) U^T from `spectrum`,
+    the operator's dense_spectrum (built if None); at eps = 0 it keeps only
+    the rank leading eigenvalues, the pseudo-inverse, whose minimum-norm
+    solution the iterative modes also reach on a rank-deficient J, as their
+    iterates stay in range(J).  These run in _lockstep: conjugate_gradient,
+    and one Richardson iteration s <- s - (A s - c) / (lambda_max + eps),
+    the Neumann series of A^-1 c, started at 0 by gradient_descent and at
+    c / (lambda_max + eps) by neumann, so gradient_descent returns neumann's
+    iterate one step later."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
     vector = c.ndim == 1
     C = np.atleast_2d(c.T)  # one row per right-hand side
     eps = cfg.epsilon
-    matvec = _normal_matvec(operator, eps)
+    matvec = lambda s: operator.jvp(operator.vjp(s.T)).T + eps * s  # rows S -> S (J J^T + eps I)
     target = cfg.tolerance * np.maximum(1.0, _row_norms(C))
 
-    if cfg.mode == "dense":  # one Gram per call, each column solved as a lone call is
-        G = _normal_gram(operator, budget) if gram is None else gram
-        A = G + eps * np.eye(operator.d_x)
-        B = np.array([np.linalg.solve(A, row) for row in C])
-        iterations, converged = 1, True
+    if cfg.mode == "dense":
+        if spectrum is None:
+            spectrum = dense_spectrum(operator, budget)
+        n = spectrum.rank if eps == 0 else operator.d_x
+        U, scale = spectrum.U[:, :n], 1.0 / (spectrum.eigenvalues[:n] + eps)
+        B, iterations, converged = np.array([U @ (scale * (U.T @ row)) for row in C]), 1, True
     elif cfg.mode == "conjugate_gradient":
-        B, iterations, converged = _conjugate_gradient(matvec, C, cfg.max_iters, target)
+        def cg_step(b, r, p):
+            ap, rs = matvec(p), _row_dots(r, r)
+            alpha = (rs / _row_dots(p, ap))[:, None]
+            r_next = r - alpha * ap
+            return b + alpha * p, r_next, r_next + (_row_dots(r_next, r_next) / rs)[:, None] * p
+        B, iterations, converged = _lockstep(cg_step, (np.zeros_like(C), C.copy(), C.copy()),
+                                             target, cfg.max_iters)
     else:
         lam, _, _, _ = lambda_max_power_iteration(operator)
-        alpha = 1.0 / (lam + eps)  # the step that makes both iterations contract
-        if cfg.mode == "gradient_descent":
-            def update(b, c):
-                r = matvec(b) - c
-                return b - alpha * r, r
-            B = np.zeros_like(C)
-        else:  # neumann, pre-scaled by the same step
-            def update(s, c):
-                s = s - alpha * matvec(s) + alpha * c
-                return s, matvec(s) - c
-            B = alpha * C
-        iterations, converged = _iterate_rows(update, B, C, cfg.max_iters, target)
+        alpha = 1.0 / (lam + eps) if lam + eps > 0 else 0.0  # lam + eps = 0 only where J = 0 = C
+
+        def richardson_step(s, r, c):  # c rides along unchanged
+            s = s - alpha * r
+            return s, matvec(s) - c, c
+        S = np.zeros_like(C) if cfg.mode == "gradient_descent" else alpha * C
+        R = -C if cfg.mode == "gradient_descent" else matvec(S) - C
+        B, iterations, converged = _lockstep(richardson_step, (S, R, C), target, cfg.max_iters)
 
     residual, value = _row_norms(matvec(B) - C), _row_norms(B)
     if vector:
@@ -173,17 +175,20 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
                      converged=converged)
 
 
-def _iterate_rows(update, x, c, max_iters, target):
-    """x_i, r_i = update(x_i, c_i), in place, on every row whose last
-    residual norm is above target_i, until none is or after max_iters
-    steps.  Returns (the most steps any row took, whether all converged)."""
-    live = np.arange(len(c))
-    for it in range(1, max_iters + 1):
-        x[live], r = update(x[live], c[live])
-        live = live[_row_norms(r) > target[live]]
+def _lockstep(step, state, target, max_iters):
+    """Advance each row of state = (solution, residual, ...), a tuple of row
+    arrays, by step(*live rows) -> next rows while its residual norm is above
+    target_i, for at most max_iters steps.
+    Returns (solution, the most steps any row took, whether all converged)."""
+    live = np.flatnonzero(_row_norms(state[1]) > target)
+    for it in range(max_iters):
         if live.size == 0:
-            return it, True
-    return max_iters, False
+            return state[0], it, True
+        rows = step(*(a[live] for a in state))
+        for a, row in zip(state, rows):
+            a[live] = row
+        live = live[_row_norms(rows[1]) > target[live]]
+    return state[0], max_iters, live.size == 0
 
 
 def _dense_from_operator(operator, budget):
@@ -198,35 +203,13 @@ def _dense_from_operator(operator, budget):
 def _normal_gram(operator, budget):
     """The d_x x d_x Gram matrix J J^T without J: its columns lo:hi are the
     normal products J (J^T E) of an identity block E.  Symmetrized once,
-    exactly, so that eigh (one triangle) and solve (both) read one matrix."""
+    exactly, so that the one triangle eigh reads carries both triangles'
+    rounding."""
     check_budget(operator.d_x ** 2, budget, "Gram matrix J J^T")
     G = np.empty((operator.d_x, operator.d_x))
     for lo, hi, eye in identity_blocks(operator.d_x):
         G[:, lo:hi] = operator.jvp(operator.vjp(eye))
     return 0.5 * (G + G.T)
-
-
-def _conjugate_gradient(matvec, c, max_iters, target):
-    """CG on each row of c in lockstep; a row is frozen once its residual
-    norm is at most target_i.  Returns (solution rows, the most steps any
-    row took, whether all converged)."""
-    b = np.zeros_like(c)
-    r = c.copy()  # c - A @ 0
-    p = r.copy()
-    rs = _row_dots(r, r)
-    live = np.flatnonzero(np.sqrt(rs) > target)
-    for it in range(1, max_iters + 1):
-        if live.size == 0:
-            return b, it - 1, True
-        pl, rl, rsl = p[live], r[live], rs[live]
-        ap = matvec(pl)
-        alpha = (rsl / _row_dots(pl, ap))[:, None]
-        b[live] += alpha * pl
-        rl = rl - alpha * ap
-        rs_new = _row_dots(rl, rl)
-        r[live], p[live], rs[live] = rl, rl + (rs_new / rsl)[:, None] * pl, rs_new
-        live = live[np.sqrt(rs_new) > target[live]]
-    return b, max_iters, live.size == 0
 
 
 def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
@@ -244,10 +227,10 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9,
     rep.lambda_max = lam
     rep.iterations = n_it
     rep.converged = converged
-    if c.ndim == 1:
-        rep.lower_bound = float(np.linalg.norm(c) / (lam + epsilon))
-    else:
-        rep.lower_bound = _row_norms(np.ascontiguousarray(c.T)) / (lam + epsilon)
+    norms = np.linalg.norm(c) if c.ndim == 1 else _row_norms(np.ascontiguousarray(c.T))
+    # lam + epsilon = 0 only where J = 0, so J delta = 0 and so is the floor
+    floor = norms / (lam + epsilon) if lam + epsilon > 0 else 0.0 * norms
+    rep.lower_bound = float(floor) if c.ndim == 1 else floor
     return rep
 
 
@@ -261,7 +244,7 @@ def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000) -> Spectr
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)
     rank = int(np.sum(eig > thresh))
     return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank,
-                          rank_threshold=thresh, operator=operator, U=U, gram=G)
+                          rank_threshold=thresh, operator=operator, U=U)
 
 
 class SingularSpectrumError(ValueError):

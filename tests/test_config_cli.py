@@ -1,11 +1,14 @@
 """Config parsing, CLI exit codes, experiment runners, and the built-in
 validation suite (including its mutation check)."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from gradleak.cli import main
 from gradleak.config import ConfigError, PerturbationConfig, job_seed, load_config, parse_config
 from gradleak import experiments
 from gradleak.data import Dataset, Sample, write_idx
-from gradleak.influence import SingularSpectrumError
+from gradleak.influence import SOLVER_MODES, SingularSpectrumError
 from gradleak.models import InitScheme, MixedJacobianOperator, initialize_parameters, one_layer_model
 
 
@@ -345,3 +348,32 @@ def test_python_dash_m_runs_validate():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PASS ") and "FAIL" not in proc.stdout
+
+
+def test_zero_jacobian_audit_is_one_row_in_every_mode(tmp_path):
+    # lambda_max + eps = 0: every solver returns 0, and so does the floor
+    bodies = set()
+    for mode in SOLVER_MODES:
+        (tmp_path / mode).mkdir()
+        path = zero_jacobian_config(tmp_path / mode, solver={"mode": mode, "epsilon": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["audit", "--config", path]) == 0, mode
+        with open(tmp_path / mode / "out" / "audit.csv") as f:
+            bodies.add("".join(line for line in f if not line.startswith("#")))
+    (body,) = bodies
+    (row,) = csv.DictReader(body.splitlines())
+    assert [float(row[k]) for k in ("i2f_exact", "i2f_lower_bound", "lambda_max")] == [0.0] * 3
+    assert all(math.isfinite(float(v)) for k, v in row.items() if not k.endswith("_kind"))
+
+
+def test_dump_of_a_four_axis_sample_is_one_row(tmp_path):
+    data = {"kind": "synthetic", "synthetic_kind": "separable_2class", "shape": [1, 1, 3, 3],
+            "count": 2, "seed": 1, "num_classes": 2}
+    doc = base_doc(str(tmp_path / "out"), data=data, samples=1, dump_images=True,
+                   attack={"kind": "dgl", "iterations": 5})
+    assert main(["audit", "--config", write_doc(tmp_path, doc)]) == 0
+    assert (tmp_path / "out" / "audit.csv").exists()
+    for name in ("original", "recovered"):
+        with open(tmp_path / "out" / f"audit_e0_s0_p0_{name}.pgm", "rb") as f:
+            assert f.read().startswith(b"P5\n9 1\n255\n")

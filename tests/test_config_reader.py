@@ -234,3 +234,18 @@ def test_any_json_value_parses_or_is_a_config_error(path, value):
         got = got[key] if isinstance(key, int) else getattr(got, key)
     assert got == (tuple(value) if isinstance(value, list) else value)
     assert isinstance(got, bool) == isinstance(value, bool)
+
+
+@pytest.mark.parametrize("kind", ["separable_2class", "checkerboard"])
+@pytest.mark.parametrize("num_classes", [None, 1, 3])
+def test_two_class_data_needs_num_classes_2(tmp_path, capsys, kind, num_classes):
+    # the generator draws labels 0 and 1 only, while num_classes sizes the model head
+    data = {**BASE["data"], "synthetic_kind": kind, "num_classes": num_classes}
+    if num_classes is None:
+        del data["num_classes"]  # the default, 10
+    doc = {**BASE, "data": data}
+    with pytest.raises(ConfigError, match=f"{kind} data has 2 classes: set num_classes to 2, "
+                                          f"got {num_classes or 10}"):
+        parse_config(doc)
+    assert_cli_config_error(tmp_path, capsys, doc)
+    assert parse_config({**doc, "data": {**data, "num_classes": 2}}).data.num_classes == 2

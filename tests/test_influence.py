@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradleak import (
     Activation,
@@ -489,3 +489,72 @@ def test_block_i2f_columns_equal_lone_solves_property(op, mode, k, eps, seed):
         lone = i2f_exact(op, D[:, j], cfg)
         assert block.exact_value[j] == lone.exact_value
         assert np.array_equal(block.solution[:, j], lone.solution)
+
+
+def rank_one_operator():
+    """A well-fit one-layer unit: J = x theta^T has rank 1."""
+    spec = one_layer_model(3, "identity", 0.0)
+    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    return MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
+
+
+def test_rank_deficient_modes_agree_on_the_minimum_norm_solution():
+    # at eps = 0 the dense mode is the pseudo-inverse; the iterative modes
+    # reach the same minimum-norm solution because their iterates stay in range(J)
+    op = rank_one_operator()
+    delta = np.array([1.0, -0.3, 0.2])
+    J = _dense_from_operator(op, 10 ** 7)
+    want = np.linalg.pinv(J @ J.T, rcond=1e-10, hermitian=True) @ (J @ delta)
+    for mode in SOLVER_MODES:
+        rep = i2f_exact(op, delta, SolverConfig(mode=mode, epsilon=0.0, max_iters=2000))
+        assert rep.converged, mode
+        assert abs(rep.exact_value - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want), mode
+        np.testing.assert_allclose(rep.solution, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+def test_zero_jacobian_gives_zero_floor_and_solves():
+    # J = 0 where x = 0 under a zero-target identity unit: lambda_max + eps = 0
+    spec = one_layer_model(3, "identity", 0.0)
+    params = initialize_parameters(spec, InitScheme("uniform", 0))
+    op = MixedJacobianOperator(spec, params, np.zeros(3), None)
+    D = np.random.Generator(np.random.PCG64(4)).normal(size=(op.d_theta, 2))
+    with np.errstate(all="raise"):
+        for delta in (D[:, 0], D):
+            lb = i2f_lower_bound(op, delta)
+            assert lb.lambda_max == 0.0 and np.all(lb.lower_bound == 0.0)
+            for mode in SOLVER_MODES:
+                rep = i2f_exact(op, delta, SolverConfig(mode=mode, epsilon=0.0))
+                assert np.all(rep.exact_value == 0.0) and rep.converged, mode
+                assert rep.iterations == (1 if mode == "dense" else 0), mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stacks(), st.sampled_from([0.1, 1.0, 10.0]), st.integers(2, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_gradient_descent_is_neumann_one_step_later_property(op, eps, max_iters, seed):
+    # one Richardson iteration from two starts: gradient descent's first step
+    # from 0 lands on neumann's start, so converged or not it returns neumann's
+    # iterate, bit for bit, after one more step
+    delta = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_theta)
+    gd = i2f_exact(op, delta, SolverConfig(mode="gradient_descent", epsilon=eps,
+                                           max_iters=max_iters))
+    neumann = i2f_exact(op, delta, SolverConfig(mode="neumann", epsilon=eps,
+                                                max_iters=max_iters - 1))
+    assume(gd.iterations > 0)  # ||J delta|| within tolerance: both stop at their starts
+    assert neumann.exact_value == gd.exact_value
+    assert np.array_equal(neumann.solution, gd.solution)
+    assert (neumann.iterations, neumann.converged) == (gd.iterations - 1, gd.converged)
+
+
+@pytest.mark.parametrize("mode", ["gradient_descent", "neumann"])
+def test_richardson_spends_one_normal_product_per_step(mode):
+    op = mlp_operator()
+    vjps = []
+    counted = SimpleNamespace(d_x=op.d_x, jvp=op.jvp,
+                              vjp=lambda b: vjps.append(b) or op.vjp(b))
+    delta = np.random.Generator(np.random.PCG64(6)).normal(size=op.d_theta)
+    lanczos_steps = lambda_max_power_iteration(op)[1]
+    rep = i2f_exact(counted, delta, SolverConfig(mode=mode, epsilon=0.5, max_iters=3000))
+    assert rep.converged and rep.iterations > 1
+    # Lanczos, neumann's starting residual, one per step, then the final residual
+    assert len(vjps) == lanczos_steps + (mode == "neumann") + rep.iterations + 1
