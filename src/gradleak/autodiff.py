@@ -291,15 +291,15 @@ def scatter_patches(cols, geometry, in_shape):
     """col2im_data, given the conv_geometry of `in_shape`, a tuple.
 
     bincount adds the weights of each bin in index order, as np.add.at
-    does, so the sums are the same bit for bit; image j of a stack owns
-    the bins from j * (C*H*W + 1) on, each filled in a lone image's order."""
+    does, so the sums are the same bit for bit; each image of a stack is
+    its own bincount on the shared index, filled in a lone image's order."""
     idx, size, _ = geometry
     lead = cols.shape[:-2]
-    k = math.prod(lead)
-    if k != 1:
-        idx = idx + (size + 1) * np.arange(k).reshape(lead + (1, 1))
-    flat = np.bincount(idx.reshape(-1), weights=cols.reshape(-1), minlength=(size + 1) * k)
-    return flat.reshape(lead + (size + 1,))[..., :size].reshape(lead + in_shape)
+    idx, cols = idx.reshape(-1), cols.reshape((math.prod(lead), -1))
+    out = np.empty((len(cols), size))
+    for image, weights in zip(out, cols):
+        image[:] = np.bincount(idx, weights=weights, minlength=size + 1)[:size]
+    return out.reshape(lead + in_shape)
 
 
 def im2col(x, kernel, stride, padding):

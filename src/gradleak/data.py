@@ -3,6 +3,7 @@ binary PGM dumps, and round-trippable CSV reports."""
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -162,13 +163,15 @@ def write_pgm(image, path):
 
 
 def read_pgm(path):
+    """A binary PGM (P5) as floats in [0, 1]: the w * h bytes after the one
+    whitespace byte that ends the header, whitespace-valued pixels included."""
     with open(path, "rb") as f:
         raw = f.read()
-    fields = raw.split(maxsplit=4)
-    if fields[0] != b"P5":
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    if header is None:
         raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    data = np.frombuffer(fields[4], dtype=np.uint8, count=w * h).reshape(h, w)
+    w, h, maxval = (int(v) for v in header.groups())
+    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=header.end()).reshape(h, w)
     return data.astype(np.float64) / maxval
 
 

@@ -284,7 +284,7 @@ def run_init_compare(cfg: ExperimentConfig):
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
         for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-            spectrum = dense_spectrum(op)
+            spectrum = dense_spectrum(op, vectors=False)
             try:
                 exp_risk = expected_gaussian_risk(spectrum, variance)
             except SingularSpectrumError as e:
@@ -345,7 +345,7 @@ def run_spectrum(cfg: ExperimentConfig):
     params = initialize_parameters(spec, cfg.init)
     rows = []
     for si, _, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-        rep = dense_spectrum(op)
+        rep = dense_spectrum(op, vectors=False)
         rows += [[si, i, float(lam), float(sig)]
                  for i, (lam, sig) in enumerate(zip(rep.eigenvalues, rep.singular_values))]
     return rows, _write(cfg, "spectrum.csv", ["sample", "rank", "eigenvalue", "singular_value"],

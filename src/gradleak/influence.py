@@ -67,8 +67,16 @@ class SpectrumReport:
         positive: the sign of a singular pair is otherwise LAPACK's choice."""
         if not 0 <= i < self.rank:
             raise IndexError(f"singular index {i} out of range for rank {self.rank}")
+        _require_vectors(self, "right_vector")
         v = self.operator.vjp(self.U[:, i]) / self.singular_values[i]
         return -v if v[np.argmax(np.abs(v))] < 0 else v
+
+
+def _require_vectors(spectrum, what):
+    if spectrum.U is None:
+        raise ValueError(f"{what} needs the eigenvectors of J J^T: this spectrum "
+                         "holds eigenvalues only (dense_spectrum(..., vectors=False))")
+
 
 RANK_THRESHOLD_REL = 1e-10  # eigenvalue below this fraction of the max counts as zero
 
@@ -144,6 +152,7 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     if cfg.mode == "dense":
         if spectrum is None:
             spectrum = dense_spectrum(operator, budget)
+        _require_vectors(spectrum, "the dense solver")
         n = spectrum.rank if eps == 0 else operator.d_x
         U, scale = spectrum.U[:, :n], 1.0 / (spectrum.eigenvalues[:n] + eps)
         B, iterations, converged = np.array([U @ (scale * (U.T @ row)) for row in C]), 1, True
@@ -203,13 +212,15 @@ def _dense_from_operator(operator, budget):
 def _normal_gram(operator, budget):
     """The d_x x d_x Gram matrix J J^T without J: its columns lo:hi are the
     normal products J (J^T E) of an identity block E.  Symmetrized once,
-    exactly, so that the one triangle eigh reads carries both triangles'
-    rounding."""
+    exactly and in place, so that the one triangle eigh reads carries both
+    triangles' rounding."""
     check_budget(operator.d_x ** 2, budget, "Gram matrix J J^T")
     G = np.empty((operator.d_x, operator.d_x))
     for lo, hi, eye in identity_blocks(operator.d_x):
         G[:, lo:hi] = operator.jvp(operator.vjp(eye))
-    return 0.5 * (G + G.T)
+    G += G.T
+    G *= 0.5
+    return G
 
 
 def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
@@ -234,13 +245,16 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9,
     return rep
 
 
-def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000) -> SpectrumReport:
+def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000,
+                   vectors=True) -> SpectrumReport:
     """The one factorization of J: eigendecomposition of the d_x x d_x
     Gram matrix J J^T, whose eigenvectors are J's left singular vectors.
-    J itself is never formed: budget caps the d_x^2 entries of the Gram."""
+    J itself is never formed: budget caps the d_x^2 entries of the Gram.
+    vectors=False runs eigvalsh on the same Gram and leaves U None, for
+    callers that read eigenvalues only."""
     G = _normal_gram(operator, budget)
-    eig, U = np.linalg.eigh(G)
-    eig, U = np.clip(eig[::-1], 0.0, None), U[:, ::-1]
+    eig, U = np.linalg.eigh(G) if vectors else (np.linalg.eigvalsh(G), None)
+    eig, U = np.clip(eig[::-1], 0.0, None), None if U is None else U[:, ::-1]
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)
     rank = int(np.sum(eig > thresh))
     return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank,

@@ -121,6 +121,18 @@ def test_pgm_roundtrip_and_guards(tmp_path):
     assert open(path, "rb").read().endswith(bytes(4))
 
 
+@pytest.mark.parametrize("first", [9, 10, 32, 100])
+def test_pgm_roundtrip_keeps_whitespace_pixels(tmp_path, first):
+    # bytes 9-13 and 32 read as ASCII whitespace; the first pixel follows the
+    # header's last whitespace byte and must not be taken as part of it
+    pixels = np.array([[first, 32, 10, 0], [255, 13, 9, 100]], dtype=np.uint8)
+    path = str(tmp_path / "w.pgm")
+    write_pgm(pixels / 255.0, path)
+    back = read_pgm(path)
+    assert back.shape == pixels.shape
+    np.testing.assert_array_equal(np.round(back * 255.0), pixels)
+
+
 def test_csv_roundtrip_17_digits(tmp_path):
     path = str(tmp_path / "r.csv")
     rows = [{"a": 0.1, "b": 1, "c": "tag"}, {"a": 1 / 3, "b": 2, "c": "x"}]

@@ -354,6 +354,36 @@ def test_gram_matches_dense_j_property(op):
     assert np.abs(G - J @ J.T).max() <= SPECTRAL_TOL * s0 ** 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_stacks())
+def test_values_only_spectrum_matches_eigh_property(op):
+    # eigvalsh on the same Gram: eigh's eigenvalues to its own rounding
+    # error, the same rank, and no eigenvectors
+    rep, values = dense_spectrum(op), dense_spectrum(op, vectors=False)
+    assert values.U is None
+    assert values.rank == rep.rank
+    lam0 = rep.eigenvalues[0]
+    assert np.abs(values.eigenvalues - rep.eigenvalues).max() <= SPECTRAL_TOL * lam0
+    np.testing.assert_array_equal(values.singular_values, np.sqrt(values.eigenvalues))
+    assert np.all(np.diff(values.eigenvalues) <= 0) and np.all(values.eigenvalues >= 0)
+
+
+def test_right_vector_needs_eigenvectors():
+    rep = dense_spectrum(mlp_operator(), vectors=False)
+    assert rep.rank > 0
+    with pytest.raises(ValueError, match="right_vector needs the eigenvectors"):
+        rep.right_vector(0)
+
+
+def test_dense_solver_needs_eigenvectors():
+    op = mlp_operator()
+    values = dense_spectrum(op, vectors=False)
+    delta = np.ones(op.d_theta)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="the dense solver needs the eigenvectors"):
+            i2f_exact(op, delta, SolverConfig(mode="dense", epsilon=eps), spectrum=values)
+
+
 def test_dense_spectrum_never_holds_j():
     # LeNet's J is 784 x 11,580 floats (72 MB); the spectrum needs only the
     # 784 x 784 Gram, its eigenvectors and one block of normal products

@@ -13,7 +13,7 @@ correct digits (the kernel sums p_j (d_i - d_j) and does not cancel).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradleak import autodiff as ad
 from gradleak.attacks import ZeroGradientError, _objective_grad
@@ -215,6 +215,40 @@ def test_block_products_match_columns(case, k):
         assert jd.shape == (spec.d_x,) and jtb.shape == (spec.d_theta,)
         for block, column in ((JD[:, j], jd), (JtB[:, j], jtb)):
             assert np.abs(block - column).max() <= 1e-13 * np.abs(column).max() * cond
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_scatter_of_a_stack_equals_lone_scatters_property(channels, size, kernel, stride,
+                                                          padding, k, seed):
+    # strides above the kernel leave pixels no patch reads; padding maps
+    # patch entries to the discarded bin; each image must sum as it would alone
+    assume(kernel <= size + 2 * padding)
+    in_shape = (channels, size, size)
+    geometry = ad.conv_geometry(in_shape, kernel, stride, padding)
+    rows, positions = geometry[0].shape
+    cols = np.random.Generator(np.random.PCG64(seed)).normal(size=(k, rows, positions))
+    stack = ad.scatter_patches(cols, geometry, in_shape)
+    assert stack.shape == (k,) + in_shape
+    for j in range(k):
+        assert np.array_equal(stack[j], ad.scatter_patches(cols[j], geometry, in_shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_cases(), st.sampled_from([None, 1, 3]))
+def test_products_are_pure(case, k):
+    # a product must not write into the operator's kept values: a second
+    # call gives the same bits, and the gradients stay as they were
+    spec, params, x, y, rng = case
+    op = MixedJacobianOperator(spec, params, x, y)
+    g_theta, g_x = op.g_theta.copy(), op.g_x.copy()
+    lead = () if k is None else (k,)
+    delta = rng.normal(size=(spec.d_theta,) + lead)
+    b = rng.normal(size=(spec.d_x,) + lead)
+    jd, jtb = op.jvp(delta), op.vjp(b)
+    assert np.array_equal(op.vjp(b), jtb) and np.array_equal(op.jvp(delta), jd)
+    assert np.array_equal(op.g_theta, g_theta) and np.array_equal(op.g_x, g_x)
 
 
 def test_block_products_reject_bad_shapes():
