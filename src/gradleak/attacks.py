@@ -57,7 +57,7 @@ class AttackResult:
 class Adam:
     """Standard bias-corrected Adam on a single flat vector."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr, beta1, beta2, eps):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = self.v = None
         self.t = 0

@@ -99,7 +99,7 @@ def write_idx(dataset: Dataset, images_path, labels_path):
         f.write(bytes(int(s.label) for s in dataset))
 
 
-def synthetic_samples(kind, n, shape=(1, 28, 28), seed=0, num_classes=10, margin=0.5) -> Dataset:
+def synthetic_samples(kind, n, shape=(1, 28, 28), seed=0, num_classes=10) -> Dataset:
     """Deterministic synthetic datasets; all pixel values clipped to [0, 1]."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,7 +125,7 @@ def synthetic_samples(kind, n, shape=(1, 28, 28), seed=0, num_classes=10, margin
         for i in range(n):
             label = int(rng.integers(2))
             sign = 1.0 if label == 1 else -1.0
-            base = 0.5 + sign * margin * direction + 0.05 * rng.normal(size=d)
+            base = 0.5 + sign * 0.5 * direction + 0.05 * rng.normal(size=d)  # margin 0.5
             img = np.clip(base.reshape(shape), 0.0, 1.0)
             samples.append(Sample(img, label, f"separable_2class:{i}"))
         num_classes = 2

@@ -175,9 +175,9 @@ def _realize_perturbation(pert, op, g0, seed, spectrum=None):
 
 def run_audit(cfg: ExperimentConfig):
     """One row per (sample, perturbation, epoch): metric values vs. attack error.
-    A sample's perturbations are one (d_theta, P) block and share one Lanczos
-    and at most one Gram J J^T, which the singular directions and the dense
-    solve both read."""
+    A sample's perturbations are one (d_theta, P) block and share one Lanczos,
+    whose lambda_max the floor and the Richardson step both read, and at most
+    one Gram J J^T, which the singular directions and the dense solve both read."""
     spec, dataset = _start(cfg)
     header = ["sample", "epoch", "pert_kind", "pert_param", "delta_norm", "epsilon",
               "i2f_exact", "i2f_lower_bound", "lambda_max", "attack_kind",
@@ -192,9 +192,10 @@ def run_audit(cfg: ExperimentConfig):
                                               spectrum)
                         for pi, pert in enumerate(cfg.perturbations)]
             D = np.stack([delta for delta, _ in realized], axis=1)
-            exact = i2f_exact(op, D, cfg.solver, spectrum=spectrum).exact_value
             lb = i2f_lower_bound(op, D, seed=job_seed(cfg.seed, epoch, si),
                                  epsilon=cfg.solver.epsilon)
+            exact = i2f_exact(op, D, cfg.solver, spectrum=spectrum,
+                              lambda_max=lb.lambda_max).exact_value
             for pi, (pert, (delta, param_val)) in enumerate(zip(cfg.perturbations, realized)):
                 atk_cfg = _attack_config(cfg, job_seed(cfg.seed, epoch, si, pi, 1))
                 res = run_attack(spec, params, g0 + delta, y, atk_cfg, x0=x0)
@@ -314,8 +315,7 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
     metric_time = 0.0
     for s in range(n_seeds):
         t0 = time.perf_counter()
-        _, _, _, trace = lambda_max_power_iteration(op, iters=200, tol=1e-9,
-                                                    seed=job_seed(cfg.seed, s))
+        _, _, _, trace = lambda_max_power_iteration(op, seed=job_seed(cfg.seed, s))
         metric_time = max(metric_time, time.perf_counter() - t0)
         power_rows += [[s, i, v] for i, v in enumerate(trace)]
     _write(cfg, "efficiency_power_iteration.csv", ["seed", "iteration", "lambda_estimate"],

@@ -127,7 +127,7 @@ def _row_norms(a):
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
-              budget=10_000_000, spectrum=None) -> I2FReport:
+              budget=10_000_000, spectrum=None, lambda_max=None) -> I2FReport:
     """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
 
     delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
@@ -141,7 +141,8 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
     and one Richardson iteration s <- s - (A s - c) / (lambda_max + eps),
     the Neumann series of A^-1 c, started at 0 by gradient_descent and at
     c / (lambda_max + eps) by neumann, so gradient_descent returns neumann's
-    iterate one step later."""
+    iterate one step later.  Those two read `lambda_max` if given, else run
+    their own seed-0 Lanczos; the other modes ignore it."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
     vector = c.ndim == 1
     C = np.atleast_2d(c.T)  # one row per right-hand side
@@ -165,7 +166,7 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
         B, iterations, converged = _lockstep(cg_step, (np.zeros_like(C), C.copy(), C.copy()),
                                              target, cfg.max_iters)
     else:
-        lam, _, _, _ = lambda_max_power_iteration(operator)
+        lam = lambda_max_power_iteration(operator)[0] if lambda_max is None else lambda_max
         alpha = 1.0 / (lam + eps) if lam + eps > 0 else 0.0  # lam + eps = 0 only where J = 0 = C
 
         def richardson_step(s, r, c):  # c rides along unchanged
@@ -223,8 +224,7 @@ def _normal_gram(operator, budget):
     return G
 
 
-def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9, seed=0,
-                    epsilon=0.0) -> I2FReport:
+def i2f_lower_bound(operator: MixedJacobianOperator, delta, seed=0, epsilon=0.0) -> I2FReport:
     """||J delta|| / (lambda_max(J J^T) + epsilon), the cheap floor under
     ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value theta is at
     most lambda_max, so the floor errs high if theta falls short, converged
@@ -233,7 +233,7 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, iters=200, tol=1e-9,
     delta takes i2f_exact's shapes: a (d_theta, k) block gives a (k,)
     lower_bound, column j's equal to that of delta[:, j] alone."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
-    lam, n_it, converged, _ = lambda_max_power_iteration(operator, iters=iters, tol=tol, seed=seed)
+    lam, n_it, converged, _ = lambda_max_power_iteration(operator, seed=seed)
     rep = I2FReport()
     rep.lambda_max = lam
     rep.iterations = n_it
@@ -305,8 +305,7 @@ class LipschitzEstimate:
     radius: float
 
 
-def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0,
-                       power_iters=50) -> LipschitzEstimate:
+def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0) -> LipschitzEstimate:
     """Empirical max-over-pairs estimates of the gradient/Jacobian Lipschitz
     constants w.r.t. the input.  Pairs are (x, x + radius * unit direction)."""
     if n_pairs < 1 or radius <= 0:
@@ -327,7 +326,6 @@ def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0,
         mu_l = max(mu_l, float(np.linalg.norm(op1.g_theta - op2.g_theta) / dist))
         diff = SimpleNamespace(d_x=spec.d_x, jvp=lambda v: op1.jvp(v) - op2.jvp(v),
                                vjp=lambda b: op1.vjp(b) - op2.vjp(b))  # J - J'
-        lam, _, _, _ = lambda_max_power_iteration(diff, iters=power_iters,
-                                                  seed=int(rng.integers(2 ** 63)))
+        lam, _, _, _ = lambda_max_power_iteration(diff, iters=50, seed=int(rng.integers(2 ** 63)))
         mu_j = max(mu_j, float(np.sqrt(max(lam, 0.0)) / dist))
     return LipschitzEstimate(mu_l=mu_l, mu_j=mu_j, n_pairs=n_pairs, radius=radius)

@@ -634,16 +634,6 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
             tm[i] -= h
             out[i] = (forward_loss(spec, params.with_theta(tp), x, y) - forward_loss(spec, params.with_theta(tm), x, y)) / (2 * h)
         return out
-    if what == "grad_x":
-        h = 1e-5 if step is None else step
-        flat = x.reshape(-1)
-        out = np.zeros(spec.d_x)
-        for i in range(spec.d_x):
-            xp, xm = flat.copy(), flat.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[i] = (forward_loss(spec, params, xp.reshape(x.shape), y) - forward_loss(spec, params, xm.reshape(x.shape), y)) / (2 * h)
-        return out
     if what == "jvp":
         if delta is None:
             raise ValueError("jvp oracle needs delta")

@@ -1,6 +1,7 @@
 """`run_audit` uses each sample's operator once: one block solve, one
-Lanczos lambda_max and at most one Gram J J^T per operator, with every
-row equal to the lone solve of its perturbation."""
+Lanczos lambda_max, which the floor and the solve share, and at most one
+Gram J J^T per operator, with every row equal to the lone solve of its
+perturbation under the row's lambda_max."""
 
 import pytest
 
@@ -54,9 +55,10 @@ def lambda_per_operator(rows):
     return out
 
 
-@pytest.mark.parametrize("mode", ["conjugate_gradient", "dense"])
+@pytest.mark.parametrize("mode", SOLVER_MODES)
 def test_one_lanczos_and_one_dense_j_per_operator(tmp_path, monkeypatch, mode):
-    # in dense mode the singular directions and the solve read one Gram J J^T
+    # in dense mode the singular directions and the solve read one Gram J J^T;
+    # gradient_descent and neumann take their step from the floor's lambda_max
     perturbations = MIXED + SINGULAR if mode == "dense" else MIXED
     lanczos = count_calls(monkeypatch, "lambda_max_power_iteration", influence)
     grams = count_calls(monkeypatch, "_normal_gram", influence)
@@ -91,6 +93,7 @@ def test_rows_equal_lone_solves(tmp_path, mode):
     rows, _ = experiments.run_audit(cfg)
     spec = experiments.build_model_from_config(cfg)
     dataset = experiments.load_dataset(cfg)
+    lam = {(r[1], r[0]): r[8] for r in rows}  # the lambda_max each row's solve read
     lone = []
     for epoch, params in experiments._parameter_epochs(cfg, spec, dataset):
         for si, _, _, _, op in experiments._sample_operators(spec, params, dataset,
@@ -98,6 +101,7 @@ def test_rows_equal_lone_solves(tmp_path, mode):
             for pi, pert in enumerate(cfg.perturbations):
                 delta, _ = experiments._realize_perturbation(
                     pert, op, op.g_theta, job_seed(cfg.seed, epoch, si, pi))
-                lone.append(i2f_exact(op, delta, cfg.solver).exact_value)
+                lone.append(i2f_exact(op, delta, cfg.solver,
+                                      lambda_max=lam[epoch, si]).exact_value)
     assert [r[6] for r in rows] == lone
     assert all(len(v) == 1 for v in lambda_per_operator(rows).values())

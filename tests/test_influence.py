@@ -583,8 +583,17 @@ def test_richardson_spends_one_normal_product_per_step(mode):
     counted = SimpleNamespace(d_x=op.d_x, jvp=op.jvp,
                               vjp=lambda b: vjps.append(b) or op.vjp(b))
     delta = np.random.Generator(np.random.PCG64(6)).normal(size=op.d_theta)
-    lanczos_steps = lambda_max_power_iteration(op)[1]
-    rep = i2f_exact(counted, delta, SolverConfig(mode=mode, epsilon=0.5, max_iters=3000))
+    cfg = SolverConfig(mode=mode, epsilon=0.5, max_iters=3000)
+    lam, lanczos_steps, _, _ = lambda_max_power_iteration(op)
+    rep = i2f_exact(counted, delta, cfg)
     assert rep.converged and rep.iterations > 1
     # Lanczos, neumann's starting residual, one per step, then the final residual
     assert len(vjps) == lanczos_steps + (mode == "neumann") + rep.iterations + 1
+    # a handed lambda_max spends no Lanczos product, and the seed-0 one is
+    # exactly the step the default solve took
+    vjps.clear()
+    handed = i2f_exact(counted, delta, cfg, lambda_max=lam)
+    assert len(vjps) == (mode == "neumann") + rep.iterations + 1
+    assert handed.exact_value == rep.exact_value
+    assert np.array_equal(handed.solution, rep.solution)
+    assert (handed.iterations, handed.converged) == (rep.iterations, rep.converged)
