@@ -33,7 +33,7 @@ fi
 
 run audit_linear      audit         --config scripts/configs/audit_linear.json
 run audit_lenet       audit         --config scripts/configs/audit_lenet.json
-run training_dynamics audit         --config scripts/configs/training_dynamics_mlp.json --out out/training_dynamics
+run training_dynamics audit         --config scripts/configs/training_dynamics_mlp.json
 run eigen_defense     eigen-defense --config scripts/configs/eigen_defense_lenet.json
 run init_compare      init-compare  --config scripts/configs/init_compare_lenet.json
 run fairness          fairness      --config scripts/configs/fairness_lenet.json

@@ -10,7 +10,6 @@ product of the graph-free mixed-Jacobian kernel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ class AttackResult:
     l2: float
     rmse: float
     final_loss: float
-    wall_time: float
 
 
 class Adam:
@@ -133,7 +131,6 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
     trace = np.empty(cfg.iterations)
     best_obj = np.inf
     best_x = x.copy()
-    t_start = time.perf_counter()
     for it in range(cfg.iterations):
         obj, gx = _objective_grad(spec, params, x, y, g_target, cfg.kind)
         if not np.isfinite(obj):
@@ -145,13 +142,12 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
         x = opt.step(x.reshape(-1), gx.reshape(-1)).reshape(x.shape)
         if cfg.project:
             np.clip(x, 0.0, 1.0, out=x)
-    wall = time.perf_counter() - t_start
     if x0 is not None:
         l2, rmse = recovery_error(x0, best_x)
     else:
         l2 = rmse = float("nan")
     return AttackResult(x_star=best_x, loss_trace=trace, l2=l2, rmse=rmse,
-                        final_loss=float(best_obj), wall_time=wall)
+                        final_loss=float(best_obj))
 
 
 def dgl_attack(spec, params, g_target, y, cfg=None, x0=None):

@@ -319,36 +319,22 @@ def col2im(cols, in_shape, kernel, stride, padding):
 # backward pass
 
 
-def _toposort(root, needed):
+def _toposort(root, targets):
+    """The nodes on some path from `root` down to a node whose id is in
+    `targets`, each after its parents: one postorder walk.  A subtree that
+    reaches no target holds no node that does, so the walk visits the
+    reaching nodes in the order a walk of those alone would."""
     order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) in needed and id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
-def _reaches(root, targets):
-    """ids of nodes on some path from `root` down to any node in `targets`."""
-    target_ids = {id(t) for t in targets}
-    memo = {}
+    reaching = set()
     seen = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             # parents are finished by now (postorder)
-            memo[id(node)] = id(node) in target_ids or any(memo[id(p)] for p in node.parents)
+            if id(node) in targets or any(id(p) in reaching for p in node.parents):
+                reaching.add(id(node))
+                order.append(node)
             continue
         if id(node) in seen:
             continue
@@ -357,7 +343,7 @@ def _reaches(root, targets):
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    return {i for i, v in memo.items() if v}
+    return order
 
 
 def grad(output, inputs, grad_output=None):
@@ -369,10 +355,10 @@ def grad(output, inputs, grad_output=None):
     output = as_var(output)
     if output.size != 1:
         raise ValueError("grad expects a scalar output")
-    needed = _reaches(output, inputs)
-    if id(output) not in needed:
+    order = _toposort(output, {id(v) for v in inputs})
+    if not order:  # the output reaches no input
         return [Var(np.zeros(v.data.shape)) for v in inputs]
-    order = _toposort(output, needed)
+    needed = {id(node) for node in order}
     cotangent = {id(output): grad_output if grad_output is not None else Var(np.ones(output.data.shape))}
     for node in reversed(order):
         g = cotangent.get(id(node))

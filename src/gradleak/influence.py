@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .models import MixedJacobianOperator, check_budget, identity_blocks
+from .models import MixedJacobianOperator, dense_columns
 
 SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 
@@ -25,7 +25,7 @@ SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "conjugate_gradient"
-    epsilon: float = 1.0
+    epsilon: float = 0.0
     max_iters: int = 500
     tolerance: float = 1e-10
 
@@ -203,11 +203,7 @@ def _lockstep(step, state, target, max_iters):
 
 def _dense_from_operator(operator, budget):
     """Dense J, its rows from VJPs of identity blocks."""
-    check_budget(operator.d_x * operator.d_theta, budget, "dense Jacobian")
-    J = np.empty((operator.d_x, operator.d_theta))
-    for lo, hi, eye in identity_blocks(operator.d_x):
-        J[lo:hi] = operator.vjp(eye).T
-    return J
+    return dense_columns(operator.vjp, operator.d_x, operator.d_theta, budget, "dense Jacobian").T
 
 
 def _normal_gram(operator, budget):
@@ -215,10 +211,8 @@ def _normal_gram(operator, budget):
     normal products J (J^T E) of an identity block E.  Symmetrized once,
     exactly and in place, so that the one triangle eigh reads carries both
     triangles' rounding."""
-    check_budget(operator.d_x ** 2, budget, "Gram matrix J J^T")
-    G = np.empty((operator.d_x, operator.d_x))
-    for lo, hi, eye in identity_blocks(operator.d_x):
-        G[:, lo:hi] = operator.jvp(operator.vjp(eye))
+    G = dense_columns(lambda E: operator.jvp(operator.vjp(E)), operator.d_x, operator.d_x,
+                      budget, "Gram matrix J J^T")
     G += G.T
     G *= 0.5
     return G

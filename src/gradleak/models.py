@@ -568,11 +568,7 @@ def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
     if by == "rows":
         return _dense_from_operator(op, budget)
     if by == "columns":
-        check_budget(op.d_x * op.d_theta, budget, "dense Jacobian")
-        J = np.empty((op.d_x, op.d_theta))
-        for lo, hi, eye in identity_blocks(op.d_theta):
-            J[:, lo:hi] = op.jvp(eye)
-        return J
+        return dense_columns(op.jvp, op.d_theta, op.d_x, budget, "dense Jacobian")
     raise ValueError("by must be 'rows' or 'columns'")
 
 
@@ -584,13 +580,18 @@ def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
 DENSE_BLOCK = 8
 
 
-def identity_blocks(n):
-    """(lo, hi, I[:, lo:hi]) over the n x n identity, DENSE_BLOCK columns at a time."""
+def dense_columns(product, n, rows, budget, what):
+    """The rows x n matrix whose columns lo:hi are product(I[:, lo:hi]),
+    DENSE_BLOCK columns of the n x n identity at a time; BudgetError names
+    `what` if it needs more than budget entries."""
+    check_budget(rows * n, budget, what)
+    M = np.empty((rows, n))
     for lo in range(0, n, DENSE_BLOCK):
         hi = min(n, lo + DENSE_BLOCK)
         eye = np.zeros((n, hi - lo))
         eye[lo:hi] = np.eye(hi - lo)
-        yield lo, hi, eye
+        M[:, lo:hi] = product(eye)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +680,13 @@ def train_model(spec, params, dataset, epochs, lr):
 # zoo constructors
 
 
-def linear_dot_model(d):
+def linear_dot_model(d: int):
     """L(x, theta) = theta . x, the identity-Jacobian reference model."""
     spec = ModelSpec(layers=[Linear(d, 1)], loss="sum_output", input_shape=(d,))
     return build_model(spec)
 
 
-def one_layer_model(d, activation="sigmoid", target=0.0):
+def one_layer_model(d: int, activation: str = "sigmoid", target: float = 0.0):
     """L = 0.5 * (act(theta . x) - target)^2."""
     spec = ModelSpec(
         layers=[Linear(d, 1), Activation(activation)],
@@ -696,7 +697,7 @@ def one_layer_model(d, activation="sigmoid", target=0.0):
     return build_model(spec)
 
 
-def mlp_model(d, hidden=16, num_classes=10, activation="sigmoid"):
+def mlp_model(d: int, hidden: int = 16, num_classes: int = 10, activation: str = "sigmoid"):
     spec = ModelSpec(
         layers=[Linear(d, hidden), Activation(activation), Linear(hidden, num_classes)],
         loss="cross_entropy",
@@ -706,8 +707,9 @@ def mlp_model(d, hidden=16, num_classes=10, activation="sigmoid"):
     return build_model(spec)
 
 
-def lenet_variant(in_channels=1, image_size=28, channels=12, kernel=5, stride=2,
-                  padding=2, num_classes=10, activation="sigmoid"):
+def lenet_variant(in_channels: int = 1, image_size: int = 28, channels: int = 12,
+                  kernel: int = 5, stride: int = 2, padding: int = 2, num_classes: int = 10,
+                  activation: str = "sigmoid"):
     """Four conv layers then one fully-connected classifier head."""
     layers = []
     shape = (in_channels, image_size, image_size)

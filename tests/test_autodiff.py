@@ -176,3 +176,21 @@ def test_sigmoid_is_stable_at_large_inputs():
     v = ad.sigmoid(Var(np.array([-800.0, 800.0])))
     assert np.all(np.isfinite(v.data))
     np.testing.assert_allclose(v.data, [0.0, 1.0], atol=1e-12)
+
+
+def test_toposort_keeps_each_reaching_node_once_after_its_parents():
+    # a diamond x -> (exp x, tanh x) -> product, plus a dead branch w * w
+    # that joins the output but never reaches x
+    x, w = Var(RNG.uniform(size=3)), Var(RNG.uniform(size=3))
+    left, right = ad.exp(x), ad.tanh(x)
+    diamond = ad.mul(left, right)
+    dead = ad.sum_all(ad.mul(w, w))
+    out = ad.add(ad.sum_all(diamond), dead)
+    order = ad._toposort(out, {id(x)})
+    ids = [id(n) for n in order]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == {id(n) for n in (x, left, right, diamond, out.parents[0], out)}
+    position = {i: k for k, i in enumerate(ids)}
+    for k, node in enumerate(order):
+        assert all(position[id(p)] < k for p in node.parents if id(p) in position)
+    assert not {id(w), id(dead), id(dead.parents[0])} & set(ids)

@@ -377,3 +377,28 @@ def test_dump_of_a_four_axis_sample_is_one_row(tmp_path):
     for name in ("original", "recovered"):
         with open(tmp_path / "out" / f"audit_e0_s0_p0_{name}.pgm", "rb") as f:
             assert f.read().startswith(b"P5\n9 1\n255\n")
+
+
+def test_fairness_and_init_compare_read_solver_epsilon(tmp_path):
+    # linear model: J = I, so at epsilon 5 the floor is ||delta|| / (1 + 5)
+    # and the expected risk is variance * d_x / (1 + 5)^2
+    doc = base_doc(str(tmp_path / "out"), samples=2, repetitions=1, init_schemes=["uniform"],
+                   solver={"mode": "dense", "epsilon": 5.0},
+                   attack={"kind": "dgl", "iterations": 5})
+    cfg = load_config(write_doc(tmp_path, doc))
+    rows, *_ = experiments.run_fairness(cfg)
+    for r in rows:
+        assert abs(r[4] - r[3] / 6) <= 1e-12 * r[3]
+    rows, _ = experiments.run_init_compare(cfg)
+    assert all(abs(r[4] - 2.5e-4) <= 1e-15 for r in rows)
+
+
+def test_init_compare_on_a_zero_jacobian_runs_at_positive_epsilon(tmp_path):
+    # the rank-deficient error is the undamped risk's: at epsilon > 0 the
+    # damped risk of J = 0 is 0
+    path = zero_jacobian_config(tmp_path, solver={"mode": "dense", "epsilon": 1.0},
+                                attack={"kind": "dgl", "iterations": 5})
+    assert main(["init-compare", "--config", path]) == 0
+    with open(tmp_path / "out" / "init_compare.csv") as f:
+        (row,) = csv.DictReader(line for line in f if not line.startswith("#"))
+    assert float(row["expected_sq_risk"]) == 0.0

@@ -5,6 +5,7 @@ malformed config is one `config error:` line with exit code 2."""
 import copy
 import dataclasses
 import glob
+import inspect
 import json
 import os
 
@@ -249,3 +250,35 @@ def test_two_class_data_needs_num_classes_2(tmp_path, capsys, kind, num_classes)
         parse_config(doc)
     assert_cli_config_error(tmp_path, capsys, doc)
     assert parse_config({**doc, "data": {**data, "num_classes": 2}}).data.num_classes == 2
+
+
+# every zoo constructor's options and the JSON type each declares; the
+# constructors' signatures are where build_model_from_config reads them
+ZOO_OPTIONS = {
+    "linear": {"d": "int"},
+    "one_layer": {"d": "int", "activation": "str", "target": "float"},
+    "mlp": {"d": "int", "hidden": "int", "num_classes": "int", "activation": "str"},
+    "lenet": {"in_channels": "int", "image_size": "int", "channels": "int", "kernel": "int",
+              "stride": "int", "padding": "int", "num_classes": "int", "activation": "str"},
+}
+WRONG_FOR = {"int": 2.5, "float": "0", "str": 5}
+
+
+def test_zoo_signatures_declare_the_model_options():
+    for kind, options in ZOO_OPTIONS.items():
+        params = inspect.signature(experiments.MODELS[kind]).parameters
+        assert {name: p.annotation for name, p in params.items()} == options
+
+
+@pytest.mark.parametrize("kind,key,annotation",
+                         [(k, key, a) for k, opts in ZOO_OPTIONS.items() for key, a in opts.items()])
+def test_every_zoo_option_of_wrong_type_is_one_config_error_line(tmp_path, capsys, kind, key,
+                                                                  annotation):
+    doc = {**with_value(("model",), {"kind": kind, key: WRONG_FOR[annotation]}),
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["audit", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model.{key} must be ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()

@@ -204,3 +204,9 @@ def test_trainer_reduces_loss_and_is_deterministic():
     assert total_loss(snaps[-1]) < total_loss(params)
     snaps2 = train_model(spec, params, data, epochs=50, lr=0.1)
     assert np.array_equal(snaps[-1].theta, snaps2[-1].theta)
+
+
+def test_materialize_budget_refusal_by_columns():
+    spec, params, x = frozen_one_layer()
+    with pytest.raises(BudgetError, match="dense Jacobian needs 4 entries, budget is 3"):
+        materialize_jacobian(spec, params, x, budget=3, by="columns")
