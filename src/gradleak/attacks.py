@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dense_spectrum
-from .models import MixedJacobianOperator, _require_built
+from .models import DENSE_BUDGET, MixedJacobianOperator, _require_built
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def prune_gradient(g, ratio):
 
 
 def singular_direction_perturbation(operator: MixedJacobianOperator, which, scale=1.0,
-                                    budget=10_000_000, spectrum=None):
+                                    budget=DENSE_BUDGET, spectrum=None):
     """Perturbation along the right singular vector of J with the
     `which`-th largest singular value; lives in parameter space.  Raises
     IndexError unless 0 <= which < rank(J).  `spectrum`, the operator's

@@ -38,28 +38,6 @@ class Var:
     def size(self):
         return self.data.size
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __repr__(self):
         return f"Var(shape={self.data.shape}, leaf={self.vjp is None})"
 

@@ -120,7 +120,7 @@ class DataConfig:
 @dataclass(frozen=True)
 class PerturbationConfig:
     kind: str  # gaussian | prune | singular_direction
-    variance: float = 0.0
+    variance: float = 1e-3
     ratio: float = 0.0
     index: int = 0
     scale: float = 1.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import models as zoo
 from .attacks import gaussian_perturbation, prune_gradient, run_attack, singular_direction_perturbation
-from .config import ConfigError, ExperimentConfig, job_seed, typed
+from .config import ConfigError, ExperimentConfig, PerturbationConfig, job_seed, typed
 from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
     MixedJacobianOperator,
@@ -155,6 +155,11 @@ def _parameter_epochs(cfg, spec, dataset):
     return out
 
 
+def _perturbation(cfg, kind):
+    """The config's first perturbation of `kind`, else that kind's defaults."""
+    return next((p for p in cfg.perturbations if p.kind == kind), PerturbationConfig(kind))
+
+
 def _realize_perturbation(pert, op, g0, seed, spectrum=None):
     """Return (delta, description value) for one perturbation spec; a
     singular direction is taken from `spectrum`, op's dense_spectrum if None."""
@@ -211,7 +216,7 @@ def _direction_indices(rank, k):
 def run_eigen_defense(cfg: ExperimentConfig):
     """Equal-norm perturbations along singular directions spanning the spectrum."""
     spec, dataset = _start(cfg)
-    scale = next((p.scale for p in cfg.perturbations if p.kind == "singular_direction"), 1.0)
+    pert = _perturbation(cfg, "singular_direction")  # index unused: the ladder picks directions
     header = ["sample", "direction_rank", "sigma", "lambda", "inv_sigma", "inv_lambda",
               "delta_norm", "attack_l2", "attack_mse"]
     rows = []
@@ -223,7 +228,7 @@ def run_eigen_defense(cfg: ExperimentConfig):
                                         "no singular direction to perturb along")
         s = rep.singular_values
         for di in _direction_indices(rep.rank, cfg.eigen_directions):
-            delta = scale * rep.right_vector(di)
+            delta, _ = singular_direction_perturbation(op, di, pert.scale, spectrum=rep)
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, di))
             res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
             if cfg.dump_images:
@@ -238,19 +243,19 @@ def run_fairness(cfg: ExperimentConfig):
     """Per-sample attack MSE under one fixed Gaussian noise level, plus
     per-class aggregates; surfaces the spread that a mean hides."""
     spec, dataset = _start(cfg)
-    variance = next((p.variance for p in cfg.perturbations if p.kind == "gaussian"), 1e-3)
+    pert = _perturbation(cfg, "gaussian")
     params = initialize_parameters(spec, cfg.init)
     sample_header = ["sample", "label", "variance", "delta_norm", "i2f_lower_bound",
                      "attack_l2", "attack_mse"]
     rows = []
     results = []
     for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-        _, delta = gaussian_perturbation(op.g_theta, variance, seed=job_seed(cfg.seed, si))
+        delta, _ = _realize_perturbation(pert, op, op.g_theta, job_seed(cfg.seed, si))
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1),
                              epsilon=cfg.solver.epsilon)
         atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, 2))
         res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
-        rows.append([si, sample.label, variance, float(np.linalg.norm(delta)),
+        rows.append([si, sample.label, pert.variance, float(np.linalg.norm(delta)),
                      lb.lower_bound, res.l2, res.rmse ** 2])
         results.append((si, sample, res))
     sample_path = _write(cfg, "fairness_samples.csv", sample_header, rows)
@@ -276,7 +281,7 @@ def run_fairness(cfg: ExperimentConfig):
 def run_init_compare(cfg: ExperimentConfig):
     """Attack the same samples under each initialization scheme."""
     spec, dataset = _start(cfg)
-    variance = next((p.variance for p in cfg.perturbations if p.kind == "gaussian"), 1e-3)
+    pert = _perturbation(cfg, "gaussian")
     header = ["scheme", "sample", "repetition", "variance", "expected_sq_risk",
               "attack_l2", "attack_mse"]
     rows = []
@@ -285,7 +290,7 @@ def run_init_compare(cfg: ExperimentConfig):
         for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
             spectrum = dense_spectrum(op, vectors=False)
             try:
-                exp_risk = expected_gaussian_risk(spectrum, variance, cfg.solver.epsilon)
+                exp_risk = expected_gaussian_risk(spectrum, pert.variance, cfg.solver.epsilon)
             except SingularSpectrumError as e:
                 raise SingularSpectrumError(
                     f"J has rank {spectrum.rank} < d_x = {op.d_x} under init scheme "
@@ -293,10 +298,10 @@ def run_init_compare(cfg: ExperimentConfig):
                     "full-rank J") from e
             for rep in range(cfg.repetitions):
                 seed = job_seed(cfg.seed, scheme_idx, si, rep)
-                _, delta = gaussian_perturbation(op.g_theta, variance, seed=seed)
+                delta, _ = _realize_perturbation(pert, op, op.g_theta, seed)
                 atk_cfg = _attack_config(cfg, job_seed(seed, 1))
                 res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
-                rows.append([scheme_kind, si, rep, variance, exp_risk, res.l2, res.rmse ** 2])
+                rows.append([scheme_kind, si, rep, pert.variance, exp_risk, res.l2, res.rmse ** 2])
     return rows, _write(cfg, "init_compare.csv", header, rows)
 
 

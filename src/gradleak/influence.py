@@ -12,12 +12,12 @@ under estimated constants (see theorem_bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .models import MixedJacobianOperator, dense_columns
+from .models import DENSE_BUDGET, MixedJacobianOperator, dense_columns
 
 SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 
@@ -127,7 +127,7 @@ def _row_norms(a):
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
-              budget=10_000_000, spectrum=None, lambda_max=None) -> I2FReport:
+              budget=DENSE_BUDGET, spectrum=None, lambda_max=None) -> I2FReport:
     """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
 
     delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
@@ -223,7 +223,7 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, seed=0, epsilon=0.0)
     ||(J J^T + epsilon I)^{-1} J delta||.  The Lanczos Ritz value theta is at
     most lambda_max, so the floor errs high if theta falls short, converged
     or not: a small residual only places some eigenvalue near theta
-    (ROADMAP.md, "Make the floor a real bound").
+    (the ROADMAP.md item "Certified columns" plans an upper bound).
     delta takes i2f_exact's shapes: a (d_theta, k) block gives a (k,)
     lower_bound, column j's equal to that of delta[:, j] alone."""
     c = operator.jvp(delta)  # J delta, which checks delta's shape
@@ -239,7 +239,7 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, seed=0, epsilon=0.0)
     return rep
 
 
-def dense_spectrum(operator: MixedJacobianOperator, budget=10_000_000,
+def dense_spectrum(operator: MixedJacobianOperator, budget=DENSE_BUDGET,
                    vectors=True) -> SpectrumReport:
     """The one factorization of J: eigendecomposition of the d_x x d_x
     Gram matrix J J^T, whose eigenvectors are J's left singular vectors.

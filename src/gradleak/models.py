@@ -550,6 +550,16 @@ def mixed_vjp(spec, params, x, y, b):
     return MixedJacobianOperator(spec, params, x, y).vjp(b)
 
 
+# Identity columns per block product when J or its Gram J J^T is made
+# dense; it sets the width of the normal-product block J (J^T E) too.  On
+# LeNet (1 BLAS thread) a Gram build takes 0.41 s at 8, 12 or 16 columns;
+# from 24 columns on, its temporaries pass glibc's mmap threshold and
+# page-fault on every call (90-110k faults), and it takes 0.52-0.65 s.
+DENSE_BLOCK = 8
+# Entries a dense J, or its Gram J J^T, may hold unless the caller passes a budget.
+DENSE_BUDGET = 10_000_000
+
+
 class BudgetError(ValueError):
     pass
 
@@ -560,7 +570,7 @@ def check_budget(entries, budget, what):
         raise BudgetError(f"{what} needs {entries} entries, budget is {budget}")
 
 
-def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
+def materialize_jacobian(spec, params, x, y=None, budget=DENSE_BUDGET, by="rows"):
     """Dense J, built row-wise from VJPs (or column-wise from JVPs)."""
     from .influence import _dense_from_operator
 
@@ -570,14 +580,6 @@ def materialize_jacobian(spec, params, x, y=None, budget=10_000_000, by="rows"):
     if by == "columns":
         return dense_columns(op.jvp, op.d_theta, op.d_x, budget, "dense Jacobian")
     raise ValueError("by must be 'rows' or 'columns'")
-
-
-# Identity columns per block product when J or its Gram J J^T is made
-# dense; it sets the width of the normal-product block J (J^T E) too.  On
-# LeNet (1 BLAS thread) a Gram build takes 0.41 s at 8, 12 or 16 columns;
-# from 24 columns on, its temporaries pass glibc's mmap threshold and
-# page-fault on every call (90-110k faults), and it takes 0.52-0.65 s.
-DENSE_BLOCK = 8
 
 
 def dense_columns(product, n, rows, budget, what):
