@@ -38,4 +38,4 @@ run eigen_defense     eigen-defense --config scripts/configs/eigen_defense_lenet
 run init_compare      init-compare  --config scripts/configs/init_compare_lenet.json
 run fairness          fairness      --config scripts/configs/fairness_lenet.json
 run efficiency        efficiency    --config scripts/configs/efficiency_lenet.json
-run spectrum          spectrum      --config scripts/configs/audit_lenet.json --out out/spectrum --limit 3
+run spectrum          spectrum      --config scripts/configs/spectrum_lenet.json

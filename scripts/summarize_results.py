@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Condense the CSVs written by run_all_experiments.sh into a few
 headline numbers (correlations and orderings that the experiments are
-about).  Read-only; safe to run on partial results."""
+about).  Read-only; safe to run on partial results.  A correlation on
+fewer than 3 rows, or a spread over fewer than 2 classes, says nothing,
+so it prints as "n/a (N rows)".
+
+    python scripts/summarize_results.py [OUT_ROOT]
+"""
 
 import csv
 import os
@@ -10,8 +15,6 @@ from collections import defaultdict
 
 import numpy as np
 
-OUT = sys.argv[1] if len(sys.argv) > 1 else "out"
-
 
 def read(path):
     with open(path) as f:
@@ -19,16 +22,17 @@ def read(path):
     return rows
 
 
-def main():
-    audit = os.path.join(OUT, "audit_lenet", "audit.csv")
+def main(argv):
+    out = argv[1] if len(argv) > 1 else "out"
+    audit = os.path.join(out, "audit_lenet", "audit.csv")
     if os.path.exists(audit):
         rows = read(audit)
         lb = np.array([float(r["i2f_lower_bound"]) for r in rows])
         l2 = np.array([float(r["attack_l2"]) for r in rows])
-        r = np.corrcoef(lb, l2)[0, 1] if len(rows) > 1 else float("nan")
-        print(f"audit: {len(rows)} rows, corr(lower bound, attack L2) = {r:.3f}")
+        r = f"{np.corrcoef(lb, l2)[0, 1]:.3f}" if len(rows) >= 3 else f"n/a ({len(rows)} rows)"
+        print(f"audit: {len(rows)} rows, corr(lower bound, attack L2) = {r}")
 
-    eigen = os.path.join(OUT, "eigen_defense", "eigen_defense.csv")
+    eigen = os.path.join(out, "eigen_defense", "eigen_defense.csv")
     if os.path.exists(eigen):
         per = defaultdict(list)
         for r in read(eigen):
@@ -37,7 +41,7 @@ def main():
                    if [m for _, m in sorted(v, reverse=True)] == sorted(m for _, m in v))
         print(f"eigen-defense: {mono}/{len(per)} samples with MSE inverse to sigma")
 
-    init = os.path.join(OUT, "init_compare", "init_compare.csv")
+    init = os.path.join(out, "init_compare", "init_compare.csv")
     if os.path.exists(init):
         per = defaultdict(list)
         for r in read(init):
@@ -47,16 +51,17 @@ def main():
         print("init-compare mean MSE ascending:",
               ", ".join(f"{k}={means[k]:.3f}" for k in order))
 
-    fair = os.path.join(OUT, "fairness", "fairness_classes.csv")
+    fair = os.path.join(out, "fairness", "fairness_classes.csv")
     if os.path.exists(fair):
         means = [float(r["mean_mse"]) for r in read(fair)]
-        print(f"fairness: class-mean MSE spread {min(means):.3f} .. {max(means):.3f} "
-              f"(ratio {max(means) / min(means):.2f})")
+        spread = (f"{min(means):.3f} .. {max(means):.3f} (ratio {max(means) / min(means):.2f})"
+                  if len(means) >= 2 else f"n/a ({len(means)} rows)")
+        print(f"fairness: class-mean MSE spread {spread}")
 
-    timings = os.path.join(OUT, "efficiency", "efficiency_timings.txt")
+    timings = os.path.join(out, "efficiency", "efficiency_timings.txt")
     if os.path.exists(timings):
         print("efficiency:", open(timings).read().strip().replace("\n", ", "))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

@@ -12,7 +12,6 @@ from .models import (
     MixedJacobianOperator,
     ModelSpec,
     ParameterSet,
-    build_model,
     forward_loss,
     gradients,
     initialize_parameters,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dense_spectrum
-from .models import DENSE_BUDGET, MixedJacobianOperator, _require_built
+from .models import DENSE_BUDGET, MixedJacobianOperator
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
     Returns the best-objective iterate.  If x0 is given, recovery metrics
     are filled in; otherwise they are NaN.
     """
-    _require_built(spec)
     g_target = np.asarray(g_target, dtype=np.float64).reshape(-1)
     if g_target.size != spec.d_theta:
         raise ValueError(f"target gradient length {g_target.size} != d_theta {spec.d_theta}")

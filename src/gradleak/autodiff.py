@@ -324,7 +324,7 @@ def _toposort(root, targets):
     return order
 
 
-def grad(output, inputs, grad_output=None):
+def grad(output, inputs):
     """Cotangents of a scalar `output` w.r.t. each Var in `inputs`.
 
     The returned Vars are graph nodes, so second derivatives come from
@@ -337,7 +337,7 @@ def grad(output, inputs, grad_output=None):
     if not order:  # the output reaches no input
         return [Var(np.zeros(v.data.shape)) for v in inputs]
     needed = {id(node) for node in order}
-    cotangent = {id(output): grad_output if grad_output is not None else Var(np.ones(output.data.shape))}
+    cotangent = {id(output): Var(np.ones(output.data.shape))}
     for node in reversed(order):
         g = cotangent.get(id(node))
         if g is None or node.vjp is None:

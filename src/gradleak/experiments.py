@@ -104,10 +104,6 @@ def model_input(spec, sample):
     raise ConfigError(f"sample shape {img.shape} incompatible with model input {want}")
 
 
-def model_label(spec, sample):
-    return sample.label if spec.loss == "cross_entropy" else None
-
-
 def _attack_config(cfg, seed, **overrides):
     """The config's attack block for one job: its own seed, plus overrides."""
     return dataclasses.replace(cfg.attack, seed=seed, **overrides)
@@ -135,7 +131,7 @@ def _sample_operators(spec, params, dataset, n, seed):
     operator is checked against the engine."""
     for si in range(n):
         sample = dataset[si]
-        x, y = model_input(spec, sample), model_label(spec, sample)
+        x, y = model_input(spec, sample), sample.label  # a loss without labels ignores y
         op = MixedJacobianOperator(spec, params, x, y)
         if si == 0:
             _check_kernel(op, params, x, y, seed)
@@ -147,10 +143,8 @@ def _parameter_epochs(cfg, spec, dataset):
     params = initialize_parameters(spec, cfg.init)
     out = [(0, params)]
     if cfg.train.epochs > 0:
-        fitted = [Sample(model_input(spec, s), model_label(spec, s) or 0, s.source)
-                  for s in dataset]
-        train_set = Dataset(tuple(fitted), dataset.num_classes, tuple(spec.input_shape))
-        snaps = zoo.train_model(spec, params, train_set, cfg.train.epochs, cfg.train.lr)
+        fitted = [Sample(model_input(spec, s), s.label, s.source) for s in dataset]
+        snaps = zoo.train_model(spec, params, fitted, cfg.train.epochs, cfg.train.lr)
         out += [(e + 1, p) for e, p in enumerate(snaps)]
     return out
 

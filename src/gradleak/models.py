@@ -11,7 +11,7 @@ graph-free kernel with one pass rule per layer kind
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class Flatten:
 
 @dataclass
 class ModelSpec:
-    """Layer list plus loss; call build_model to shape-check it."""
+    """Layer list plus loss, shape-checked and compiled when made: ShapeError
+    unless the layers compose and the loss fits the model output."""
 
     layers: list
     loss: str
@@ -64,71 +65,30 @@ class ModelSpec:
 
     d_x: int = field(default=0, init=False)
     d_theta: int = field(default=0, init=False)
-    _built: bool = field(default=False, init=False)
     # one static pass rule per layer, for MixedJacobianOperator
     plan: tuple = field(default=(), init=False, repr=False, compare=False)
 
-
-def _layer_param_shape(layer):
-    if isinstance(layer, Linear):
-        return (layer.out_features, layer.in_features)
-    if isinstance(layer, Conv2d):
-        return (layer.out_channels, layer.in_channels * layer.kernel * layer.kernel)
-    return None
-
-
-def _affine_out_shape(i, layer, shape):
-    """The output shape of Linear or Conv2d layer i on an input of `shape`;
-    ShapeError unless its sizes, kernel and stride are at least 1, its
-    padding at least 0 and the input fits it."""
-    sizes = astuple(layer)  # Conv2d's padding comes last
-    if min(sizes[:4]) < 1 or min(sizes[4:], default=0) < 0:
-        raise ShapeError(f"layer {i} ({layer}) needs sizes, kernel and stride >= 1 and padding >= 0")
-    if isinstance(layer, Linear):
-        if len(shape) != 1 or shape[0] != layer.in_features:
-            raise ShapeError(f"layer {i} ({layer}) expects a vector of length {layer.in_features}, got shape {shape}")
-        return (layer.out_features,)
-    if len(shape) != 3 or shape[0] != layer.in_channels:
-        raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {shape}")
-    try:
-        return (layer.out_channels,) + ad.conv_geometry(shape, layer.kernel, layer.stride, layer.padding)[2]
-    except ValueError as e:
-        raise ShapeError(f"layer {i}: {e}") from e
-
-
-def build_model(spec: ModelSpec) -> ModelSpec:
-    """Validate layer composition, fill in d_x / d_theta and compile the
-    kernel's layer plan."""
-    if spec.loss not in LOSS_KINDS:
-        raise ShapeError(f"unknown loss kind {spec.loss!r}")
-    shape = tuple(spec.input_shape)
-    d_theta = 0
-    plan = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, (Linear, Conv2d)):
-            _affine_out_shape(i, layer, shape)
-        elif isinstance(layer, Activation):
-            if layer.kind not in ACTIVATIONS:
-                raise ShapeError(f"layer {i}: unknown activation {layer.kind!r}")
-        elif not isinstance(layer, Flatten):
-            raise ShapeError(f"layer {i}: unknown layer type {type(layer).__name__}")
-        plan.append(_layer_step(layer, shape, d_theta))
-        shape, d_theta = plan[-1].out_shape, d_theta + plan[-1].size
-    if spec.loss == "cross_entropy":
-        if len(shape) != 1 or shape[0] != spec.num_classes:
-            raise ShapeError(f"cross_entropy expects final shape ({spec.num_classes},), model produces {shape}")
-    elif spec.loss == "squared_error":
-        if spec.target is None:
-            raise ShapeError("squared_error loss needs a target vector")
-        target = np.asarray(spec.target, dtype=np.float64).reshape(-1)
-        if len(shape) != 1 or shape[0] != target.size:
-            raise ShapeError(f"squared_error target has length {target.size}, model produces {shape}")
-        spec.target = target
-    spec.d_x = int(np.prod(spec.input_shape))
-    spec.d_theta = d_theta
-    spec.plan = tuple(plan)
-    spec._built = True
-    return spec
+    def __post_init__(self):
+        if self.loss not in LOSS_KINDS:
+            raise ShapeError(f"unknown loss kind {self.loss!r}")
+        shape = tuple(self.input_shape)
+        d_theta = 0
+        plan = []
+        for i, layer in enumerate(self.layers):
+            plan.append(_layer_step(i, layer, shape, d_theta))
+            shape, d_theta = plan[-1].out_shape, d_theta + plan[-1].size
+        if self.loss == "cross_entropy":
+            if len(shape) != 1 or shape[0] != self.num_classes:
+                raise ShapeError(f"cross_entropy expects final shape ({self.num_classes},), model produces {shape}")
+        elif self.loss == "squared_error":
+            if self.target is None:
+                raise ShapeError("squared_error loss needs a target vector")
+            self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
+            if len(shape) != 1 or shape[0] != self.target.size:
+                raise ShapeError(f"squared_error target has length {self.target.size}, model produces {shape}")
+        self.d_x = math.prod(self.input_shape)
+        self.d_theta = d_theta
+        self.plan = tuple(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +110,7 @@ class ParameterSet:
 
 
 def parameter_slots(spec: ModelSpec):
-    """((layer_index, offset, shape), ...) of a built spec's weighted layers."""
+    """((layer_index, offset, shape), ...) of a spec's weighted layers."""
     return tuple((i, step.off, step.shape) for i, step in enumerate(spec.plan) if isinstance(step, _Affine))
 
 
@@ -165,7 +125,6 @@ class InitScheme:
 
 
 def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
-    _require_built(spec)
     rng = np.random.Generator(np.random.PCG64(scheme.seed))
     slots = parameter_slots(spec)
     theta = np.zeros(spec.d_theta)
@@ -191,25 +150,18 @@ def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
 # forward / gradients
 
 
-def _require_built(spec):
-    if not spec._built:
-        raise ShapeError("ModelSpec must pass through build_model first")
-
-
 def _forward_var(spec, theta_var, x_var, y):
+    """The loss as an autodiff graph: each weighted layer's slot and shapes
+    come from spec.plan, its products from the engine's own operations."""
     h = x_var
-    slot = {i: (off, shape) for i, off, shape in parameter_slots(spec)}
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Linear):
-            off, shape = slot[i]
-            w = ad.reshape(ad.slice1d(theta_var, off, off + shape[0] * shape[1]), shape)
-            h = ad.matmul(w, h)
-        elif isinstance(layer, Conv2d):
-            off, shape = slot[i]
-            w = ad.reshape(ad.slice1d(theta_var, off, off + shape[0] * shape[1]), shape)
-            cols = ad.im2col(h, layer.kernel, layer.stride, layer.padding)
-            _, _, (oh, ow) = ad.conv_geometry(h.data.shape, layer.kernel, layer.stride, layer.padding)
-            h = ad.reshape(ad.matmul(w, cols), (layer.out_channels, oh, ow))
+    for i, (layer, step) in enumerate(zip(spec.layers, spec.plan)):
+        if isinstance(step, _Affine):
+            w = ad.reshape(ad.slice1d(theta_var, step.off, step.off + step.size), step.shape)
+            if step.geometry is None:
+                h = ad.matmul(w, h)
+            else:
+                cols = ad.im2col(h, layer.kernel, layer.stride, layer.padding)
+                h = ad.reshape(ad.matmul(w, cols), step.out_shape)
         elif isinstance(layer, Activation):
             h = ACTIVATIONS[layer.kind](h)
         elif isinstance(layer, Flatten):
@@ -242,7 +194,6 @@ def _check_sample(spec, x):
 
 
 def forward_loss(spec: ModelSpec, params: ParameterSet, x, y=None) -> float:
-    _require_built(spec)
     x = _check_sample(spec, x)
     loss = _forward_var(spec, Var(params.theta), Var(x), y)
     if not np.isfinite(loss.data):
@@ -265,7 +216,7 @@ class MixedJacobianOperator:
     """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta).
 
     Graph-free forward-over-reverse (Pearlmutter's R-operator): the
-    constructor runs the layer plan that build_model compiled, one forward
+    constructor runs the layer plan that ModelSpec compiled, one forward
     and one backward pass in plain numpy, keeping each layer's activations
     and cotangents.  g_x, which the attacks never read, is finished from
     layer 0's kept cotangent on first read.  J @ delta is the tangent of
@@ -278,7 +229,6 @@ class MixedJacobianOperator:
     """
 
     def __init__(self, spec: ModelSpec, params: ParameterSet, x, y=None):
-        _require_built(spec)
         self.spec = spec
         x = _check_sample(spec, x)
         self.d_x, self.d_theta = spec.d_x, spec.d_theta
@@ -357,7 +307,7 @@ def _as_stack(v, what, size, name):
     return np.ascontiguousarray(v.T)
 
 
-# Pass rules, one per layer kind, made once by build_model with only static
+# Pass rules, one per layer kind, made once by ModelSpec with only static
 # data; each operator keeps its own values.  forward(theta, h) gives the
 # output and what the other passes keep, backward(kept, c, g_theta) puts
 # the weight gradient into g_theta and gives what the tangent passes keep
@@ -395,13 +345,30 @@ class _Affine(_Step):
     """out = W @ cols(h): Linear with one column, Conv2d with the im2col
     columns of its conv_geometry."""
 
-    def __init__(self, layer, in_shape, off):
-        self.shape = _layer_param_shape(layer)
-        self.off, self.size, self.in_shape = off, math.prod(self.shape), in_shape
-        self.geometry, self.out_shape = None, self.shape[:1]
-        if isinstance(layer, Conv2d):
-            self.geometry = ad.conv_geometry(in_shape, layer.kernel, layer.stride, layer.padding)
-            self.out_shape = self.shape[:1] + self.geometry[2]
+    def __init__(self, i, layer, in_shape, off):
+        """The rule of Linear or Conv2d layer i on an input of `in_shape`;
+        ShapeError unless its sizes, kernel and stride are at least 1, its
+        padding at least 0 and the input fits it."""
+        conv = isinstance(layer, Conv2d)
+        sizes = ((layer.in_channels, layer.out_channels, layer.kernel, layer.stride) if conv
+                 else (layer.in_features, layer.out_features))
+        if min(sizes) < 1 or conv and layer.padding < 0:
+            raise ShapeError(f"layer {i} ({layer}) needs sizes, kernel and stride >= 1 and padding >= 0")
+        self.geometry, self.in_shape, self.off = None, in_shape, off
+        if conv:
+            if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
+                raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {in_shape}")
+            try:
+                self.geometry = ad.conv_geometry(in_shape, layer.kernel, layer.stride, layer.padding)
+            except ValueError as e:
+                raise ShapeError(f"layer {i}: {e}") from e
+            self.shape = (layer.out_channels, layer.in_channels * layer.kernel * layer.kernel)
+            self.out_shape = (layer.out_channels,) + self.geometry[2]
+        else:
+            if len(in_shape) != 1 or in_shape[0] != layer.in_features:
+                raise ShapeError(f"layer {i} ({layer}) expects a vector of length {layer.in_features}, got shape {in_shape}")
+            self.shape, self.out_shape = (layer.out_features, layer.in_features), (layer.out_features,)
+        self.size = math.prod(self.shape)
         self.c_shape = (self.shape[0], math.prod(self.out_shape[1:]))
 
     def to_cols(self, v):
@@ -511,11 +478,18 @@ class _Flatten(_Step):
         return None, None if dc is None or not prev else dc.reshape(dc.shape[:-1] + self.in_shape)
 
 
-def _layer_step(layer, shape, off):
-    """The rule of `layer`, with input shape `shape` and weights at `off`."""
+def _layer_step(i, layer, shape, off):
+    """The rule of layer i, with input shape `shape` and weights at `off`;
+    ShapeError unless the layer is of a known kind and fits `shape`."""
+    if isinstance(layer, (Linear, Conv2d)):
+        return _Affine(i, layer, shape, off)
     if isinstance(layer, Activation):
+        if layer.kind not in ACTIVATIONS:
+            raise ShapeError(f"layer {i}: unknown activation {layer.kind!r}")
         return _Elementwise(layer.kind, shape)
-    return _Flatten(shape) if isinstance(layer, Flatten) else _Affine(layer, shape, off)
+    if isinstance(layer, Flatten):
+        return _Flatten(shape)
+    raise ShapeError(f"layer {i}: unknown layer type {type(layer).__name__}")
 
 
 def _loss_rule(spec, out, y):
@@ -606,7 +580,6 @@ def engine_oracle(spec, params, x, y, what, vec=None):
     `what` is "grad_theta", "grad_x", "jvp" (J @ vec: the x-gradient of
     <g_theta, vec>) or "vjp" (J.T @ vec: the theta-gradient of <g_x, vec>).
     """
-    _require_built(spec)
     x = _check_sample(spec, x)
     if what not in ("grad_theta", "grad_x", "jvp", "vjp"):
         raise ValueError(f"unknown oracle target {what!r}")
@@ -626,7 +599,6 @@ def engine_oracle(spec, params, x, y, what, vec=None):
 
 
 def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=None, delta=None):
-    _require_built(spec)
     x = _check_sample(spec, x)
     if what == "grad_theta":
         h = 1e-5 if step is None else step
@@ -660,8 +632,8 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
 
 
 def train_model(spec, params, dataset, epochs, lr):
-    """Plain SGD, one sample at a time in dataset order; one snapshot per epoch."""
-    _require_built(spec)
+    """Plain SGD over a sequence of samples, one at a time in order; one
+    snapshot per epoch."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if len(dataset) == 0:
@@ -684,29 +656,26 @@ def train_model(spec, params, dataset, epochs, lr):
 
 def linear_dot_model(d: int):
     """L(x, theta) = theta . x, the identity-Jacobian reference model."""
-    spec = ModelSpec(layers=[Linear(d, 1)], loss="sum_output", input_shape=(d,))
-    return build_model(spec)
+    return ModelSpec(layers=[Linear(d, 1)], loss="sum_output", input_shape=(d,))
 
 
 def one_layer_model(d: int, activation: str = "sigmoid", target: float = 0.0):
     """L = 0.5 * (act(theta . x) - target)^2."""
-    spec = ModelSpec(
+    return ModelSpec(
         layers=[Linear(d, 1), Activation(activation)],
         loss="squared_error",
         input_shape=(d,),
         target=np.array([float(target)]),
     )
-    return build_model(spec)
 
 
 def mlp_model(d: int, hidden: int = 16, num_classes: int = 10, activation: str = "sigmoid"):
-    spec = ModelSpec(
+    return ModelSpec(
         layers=[Linear(d, hidden), Activation(activation), Linear(hidden, num_classes)],
         loss="cross_entropy",
         input_shape=(d,),
         num_classes=num_classes,
     )
-    return build_model(spec)
 
 
 def lenet_variant(in_channels: int = 1, image_size: int = 28, channels: int = 12,
@@ -717,9 +686,8 @@ def lenet_variant(in_channels: int = 1, image_size: int = 28, channels: int = 12
     shape = (in_channels, image_size, image_size)
     for i in range(4):
         conv = Conv2d(in_channels if i == 0 else channels, channels, kernel, stride, padding)
-        shape = _affine_out_shape(len(layers), conv, shape)
+        shape = _Affine(len(layers), conv, shape, 0).out_shape
         layers += [conv, Activation(activation)]
-    layers += [Flatten(), Linear(int(np.prod(shape)), num_classes)]
-    spec = ModelSpec(layers=layers, loss="cross_entropy",
+    layers += [Flatten(), Linear(math.prod(shape), num_classes)]
+    return ModelSpec(layers=layers, loss="cross_entropy",
                      input_shape=(in_channels, image_size, image_size), num_classes=num_classes)
-    return build_model(spec)

@@ -124,6 +124,17 @@ def test_attack_determinism_and_trace():
     assert r1.final_loss == r1.loss_trace.min()
 
 
+def test_attack_without_x0_reports_no_recovery_error():
+    # without the true sample there is nothing to measure recovery against
+    spec, params, x0 = linear_setup(4)
+    g0 = gradients(spec, params, x0).g_theta
+    cfg = AttackConfig(iterations=20, seed=6)
+    blind = run_attack(spec, params, g0, None, cfg)
+    assert np.isnan(blind.l2) and np.isnan(blind.rmse)
+    seen = run_attack(spec, params, g0, None, cfg, x0=x0)
+    assert np.isfinite(seen.l2) and np.array_equal(blind.x_star, seen.x_star)
+
+
 def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(kind="tag")

@@ -16,6 +16,7 @@ import pytest
 from gradleak.cli import main
 from gradleak.config import ConfigError, PerturbationConfig, job_seed, load_config, parse_config
 from gradleak import experiments
+from gradleak.attacks import run_attack
 from gradleak.data import Dataset, Sample, write_idx
 from gradleak.influence import SOLVER_MODES, SingularSpectrumError
 from gradleak.models import InitScheme, MixedJacobianOperator, initialize_parameters, one_layer_model
@@ -100,6 +101,33 @@ def test_cli_audit_runs_and_overrides(tmp_path, capsys):
     assert lines[0].startswith("sample,epoch,pert_kind")
     assert len(lines) - 1 == 1  # samples x perturbations x epochs = 1*1*1
     assert not os.path.exists(str(tmp_path / "out_a"))
+
+
+def test_cli_seed_override_takes_effect(tmp_path):
+    # --seed replaces the config's seed: the CSV names it, and the
+    # perturbations it seeds move
+    cfg = write_doc(tmp_path, base_doc(str(tmp_path / "out"), samples=1,
+                                       attack={"kind": "dgl", "iterations": 20}))
+    runs = {}
+    for seed in ([], ["--seed", "8"]):
+        out = str(tmp_path / f"out{len(seed)}")
+        assert main(["audit", "--config", cfg, "--out", out] + seed) == 0
+        runs[len(seed)] = open(os.path.join(out, "audit.csv")).read().splitlines()
+    assert "# seed=7" in runs[0] and "# seed=8" in runs[2]
+    assert runs[0][-1] != runs[2][-1]
+
+
+def test_attack_dummy_init_gaussian_takes_effect():
+    # one attack step keeps its start as the best iterate: a standard normal
+    # draw from the job's attack seed
+    doc = base_doc("o", attack={"kind": "dgl", "iterations": 1, "dummy_init": "gaussian"})
+    cfg = parse_config(doc)
+    spec = experiments.build_model_from_config(cfg)
+    params = initialize_parameters(spec, cfg.init)
+    g0 = MixedJacobianOperator(spec, params, np.full(spec.input_shape, 0.5)).g_theta
+    res = run_attack(spec, params, g0, None, experiments._attack_config(cfg, 3))
+    assert np.array_equal(res.x_star, np.random.Generator(np.random.PCG64(3)).normal(
+        0.0, 1.0, size=spec.input_shape))
 
 
 def test_limit_above_samples_leaves_samples(tmp_path):

@@ -19,7 +19,6 @@ from gradleak import (
     MixedJacobianOperator,
     ModelSpec,
     SolverConfig,
-    build_model,
     dense_spectrum,
     estimate_lipschitz,
     expected_gaussian_risk,
@@ -293,7 +292,7 @@ def small_stacks(draw):
             layers = [Linear(d, hidden), Activation(draw(st.sampled_from(acts))),
                       Linear(hidden, n_out)]
         input_shape = (d,)
-    spec = build_model(ModelSpec(layers, "cross_entropy", input_shape, num_classes=n_out))
+    spec = ModelSpec(layers, "cross_entropy", input_shape, num_classes=n_out)
     params = initialize_parameters(spec, InitScheme("xavier", 0))
     params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
     x = rng.uniform(-1.0, 1.0, size=input_shape)

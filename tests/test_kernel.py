@@ -31,7 +31,6 @@ from gradleak.models import (
     ParameterSet,
     ShapeError,
     _forward_var,
-    build_model,
     engine_oracle,
     forward_loss,
     initialize_parameters,
@@ -113,8 +112,8 @@ def model_cases(draw):
     loss = draw(st.sampled_from(LOSS_KINDS))
     if loss != "cross_entropy" and draw(st.booleans()):
         layers.append(Activation(draw(st.sampled_from(acts))))
-    spec = build_model(ModelSpec(layers, loss, input_shape, num_classes=n_out,
-                                 target=rng.normal(size=n_out) if loss == "squared_error" else None))
+    spec = ModelSpec(layers, loss, input_shape, num_classes=n_out,
+                     target=rng.normal(size=n_out) if loss == "squared_error" else None)
     params = initialize_parameters(spec, InitScheme("xavier", 0))
     params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
     x = rng.uniform(-1.0, 1.0, size=input_shape)
@@ -283,7 +282,7 @@ def test_overflow_squashed_by_sigmoid_still_raises():
 
 
 def test_plan_is_compiled_once_and_shared_without_state(monkeypatch):
-    # build_model compiles one pass rule per layer; operators only run the
+    # ModelSpec compiles one pass rule per layer; operators only run the
     # plan, so live operators of one spec must not see each other's values
     compiled = []
     layer_step = models._layer_step

@@ -11,7 +11,6 @@ from gradleak import (
     Linear,
     MixedJacobianOperator,
     ModelSpec,
-    build_model,
     forward_loss,
     gradients,
     initialize_parameters,
@@ -36,7 +35,7 @@ def frozen_one_layer():
 
 
 def test_parameter_counts():
-    assert build_model(ModelSpec([Linear(784, 10)], "cross_entropy", (784,), 10)).d_theta == 7840
+    assert ModelSpec([Linear(784, 10)], "cross_entropy", (784,), 10).d_theta == 7840
     assert one_layer_model(2).d_theta == 2
     # hand count for the 4-conv variant: 12*1*25 + 3*(12*12*25) + 12*2*2*10
     assert lenet_variant().d_theta == 11580
@@ -45,7 +44,7 @@ def test_parameter_counts():
 
 def test_shape_mismatch_names_layer():
     with pytest.raises(ShapeError, match="layer 1"):
-        build_model(ModelSpec([Linear(4, 3), Linear(4, 2)], "cross_entropy", (4,), 2))
+        ModelSpec([Linear(4, 3), Linear(4, 2)], "cross_entropy", (4,), 2)
 
 
 def test_cross_entropy_uniform_logits():
@@ -154,7 +153,7 @@ def test_init_scheme_supports():
 
 
 def test_normal_init_variance_band():
-    spec = build_model(ModelSpec([Linear(100, 100)], "sum_output", (100,)))
+    spec = ModelSpec([Linear(100, 100)], "sum_output", (100,))
     theta = initialize_parameters(spec, InitScheme("normal", 11)).theta
     assert theta.size == 10 ** 4
     assert 0.45 <= theta.var() <= 0.55
