@@ -40,9 +40,7 @@ from .influence import (
 from .attacks import (
     AttackConfig,
     AttackResult,
-    dgl_attack,
     gaussian_perturbation,
-    gs_attack,
     prune_gradient,
     recovery_error,
     run_attack,

@@ -53,7 +53,7 @@ class AttackResult:
 
 
 class Adam:
-    """Standard bias-corrected Adam on a single flat vector."""
+    """Standard bias-corrected Adam, elementwise on one array."""
 
     def __init__(self, lr, beta1, beta2, eps):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -117,7 +117,8 @@ class ZeroGradientError(RuntimeError):
 
 
 def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackResult:
-    """Run the configured inversion attack against a target gradient.
+    """Run the inversion attack that cfg.kind names ("dgl" or "gs") against
+    a target gradient; the one entry point for both attacks.
 
     Returns the best-objective iterate.  If x0 is given, recovery metrics
     are filled in; otherwise they are NaN.
@@ -138,7 +139,7 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
         if obj < best_obj:
             best_obj = obj
             best_x = x.copy()
-        x = opt.step(x.reshape(-1), gx.reshape(-1)).reshape(x.shape)
+        x = opt.step(x, gx)
         if cfg.project:
             np.clip(x, 0.0, 1.0, out=x)
     if x0 is not None:
@@ -147,20 +148,6 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
         l2 = rmse = float("nan")
     return AttackResult(x_star=best_x, loss_trace=trace, l2=l2, rmse=rmse,
                         final_loss=float(best_obj))
-
-
-def dgl_attack(spec, params, g_target, y, cfg=None, x0=None):
-    cfg = cfg or AttackConfig(kind="dgl")
-    if cfg.kind != "dgl":
-        raise ValueError("config kind must be 'dgl'")
-    return run_attack(spec, params, g_target, y, cfg, x0=x0)
-
-
-def gs_attack(spec, params, g_target, y, cfg=None, x0=None):
-    cfg = cfg or AttackConfig(kind="gs")
-    if cfg.kind != "gs":
-        raise ValueError("config kind must be 'gs'")
-    return run_attack(spec, params, g_target, y, cfg, x0=x0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Desk-scale experiment suite behind the CLI.
 
 Each runner is a pure function of (config, seed).  `_start` builds its
-model and data and checks that the data holds `samples` samples before
-it makes the output directory; `_write` writes each order-stable CSV
-under the config hash and seed comment lines.  Runners return the rows
-they wrote, and may dump PGM images.  Wall-clock measurements stay out
-of the CSVs so reruns are byte-identical; the efficiency runner writes
-timings to a separate sidecar file instead.
+model and data and checks once that they fit each other before it makes
+the output directory; `_write` writes each order-stable CSV under the
+config hash and seed comment lines.  Runners return the rows they wrote,
+and may dump PGM images.  Wall-clock measurements stay out of the CSVs
+so reruns are byte-identical; the efficiency runner writes timings to a
+separate sidecar file instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import os
 import time
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import models as zoo
 from .attacks import gaussian_perturbation, prune_gradient, run_attack, singular_direction_perturbation
 from .config import ConfigError, ExperimentConfig, PerturbationConfig, job_seed, typed
-from .data import Dataset, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
+from .data import Dataset, IdxFormatError, Sample, load_idx, synthetic_samples, write_pgm, write_report_csv
 from .influence import (
     MixedJacobianOperator,
     SingularSpectrumError,
@@ -75,12 +76,22 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _start(cfg: ExperimentConfig):
-    """(spec, dataset) of every runner: the model and the data, which must
-    hold cfg.samples samples before the output directory is made."""
+    """(spec, dataset) of every runner, checked once to fit each other before
+    the output directory is made: an unreadable IDX file, fewer than
+    cfg.samples samples, images of another size than the model input, or a
+    label beyond a cross-entropy head is a ConfigError."""
     spec = build_model_from_config(cfg)
-    dataset = load_dataset(cfg)
+    try:
+        dataset = load_dataset(cfg)
+    except IdxFormatError as e:
+        raise ConfigError(f"data: {e}") from e
     if cfg.samples > len(dataset):
         raise ConfigError(f"samples is {cfg.samples} but the data holds {len(dataset)}")
+    if math.prod(dataset.image_shape) != spec.d_x:
+        raise ConfigError(f"data of shape {dataset.image_shape} do not fit model input {spec.input_shape}")
+    top = max(s.label for s in dataset)
+    if spec.loss == "cross_entropy" and top >= spec.num_classes:
+        raise ConfigError(f"the data hold label {top} but the model has {spec.num_classes} classes")
     os.makedirs(cfg.output_dir, exist_ok=True)
     return spec, dataset
 
@@ -92,16 +103,6 @@ def _write(cfg: ExperimentConfig, name, header, rows):
     write_report_csv(rows, path, header=header,
                      comments=[f"config_hash={cfg.config_hash()}", f"seed={cfg.seed}"])
     return path
-
-
-def model_input(spec, sample):
-    img = np.asarray(sample.image, dtype=np.float64)
-    want = tuple(spec.input_shape)
-    if img.shape == want:
-        return img
-    if img.size == int(np.prod(want)):
-        return img.reshape(want)
-    raise ConfigError(f"sample shape {img.shape} incompatible with model input {want}")
 
 
 def _attack_config(cfg, seed, **overrides):
@@ -131,7 +132,7 @@ def _sample_operators(spec, params, dataset, n, seed):
     operator is checked against the engine."""
     for si in range(n):
         sample = dataset[si]
-        x, y = model_input(spec, sample), sample.label  # a loss without labels ignores y
+        x, y = sample.image.reshape(spec.input_shape), sample.label  # a loss without labels ignores y
         op = MixedJacobianOperator(spec, params, x, y)
         if si == 0:
             _check_kernel(op, params, x, y, seed)
@@ -143,7 +144,7 @@ def _parameter_epochs(cfg, spec, dataset):
     params = initialize_parameters(spec, cfg.init)
     out = [(0, params)]
     if cfg.train.epochs > 0:
-        fitted = [Sample(model_input(spec, s), s.label, s.source) for s in dataset]
+        fitted = [Sample(s.image.reshape(spec.input_shape), s.label, s.source) for s in dataset]
         snaps = zoo.train_model(spec, params, fitted, cfg.train.epochs, cfg.train.lr)
         out += [(e + 1, p) for e, p in enumerate(snaps)]
     return out
@@ -387,17 +388,17 @@ def run_validate(seed=0, perturb_vjp=None):
         params = initialize_parameters(spec, InitScheme("xavier", seed + 7))
         x = rng.uniform(0, 1, spec.input_shape)
         y = 1 if spec.loss == "cross_entropy" else None
-        cases.append((name, spec, params, x, y))
+        cases.append((name, spec, params, x, y, MixedJacobianOperator(spec, params, x, y)))
 
     # gradients vs. central finite differences
-    for name, spec, params, x, y in cases:
+    for name, spec, params, x, y, _ in cases:
         g = zoo.gradients(spec, params, x, y)
         fd = zoo.finite_difference_oracle(spec, params, x, y, "grad_theta")
         scale = max(np.abs(fd).max(), 1e-12)
         record(f"finite_difference_grad_theta[{name}]", np.abs(g.g_theta - fd).max() / scale, 1e-6)
 
     # mixed JVP vs. finite differences of gradients
-    for name, spec, params, x, y in cases:
+    for name, spec, params, x, y, _ in cases:
         delta = rng.normal(size=spec.d_theta)
         jv = zoo.mixed_jvp(spec, params, x, y, delta)
         fd = zoo.finite_difference_oracle(spec, params, x, y, "jvp", delta=delta)
@@ -405,8 +406,7 @@ def run_validate(seed=0, perturb_vjp=None):
         record(f"finite_difference_mixed_jvp[{name}]", np.abs(jv - fd).max() / scale, 1e-5)
 
     # adjoint identity <J d, b> == <d, J^T b>
-    for name, spec, params, x, y in cases:
-        op = MixedJacobianOperator(spec, params, x, y)
+    for name, spec, params, x, y, op in cases:
         worst = 0.0
         for _ in range(20):
             d = rng.normal(size=spec.d_theta)
@@ -419,8 +419,7 @@ def run_validate(seed=0, perturb_vjp=None):
         record(f"adjoint_identity[{name}]", worst, 1e-9)
 
     # dense vs. matrix-free solvers at eps = 1
-    name, spec, params, x, y = cases[2]
-    op = MixedJacobianOperator(spec, params, x, y)
+    name, spec, params, x, y, op = cases[2]
     delta = rng.normal(size=spec.d_theta)
     ref = i2f_exact(op, delta, SolverConfig(mode="dense", epsilon=1.0)).exact_value
     for mode in ("gradient_descent", "conjugate_gradient", "neumann"):
@@ -437,15 +436,13 @@ def run_validate(seed=0, perturb_vjp=None):
     record("gaussian_expectation_monte_carlo", abs(vals.mean() - closed), 3 * se)
 
     # the Lipschitz bound is exact on the linear model
-    name, spec, params, x, y = cases[0]
-    op = MixedJacobianOperator(spec, params, x, y)
+    name, spec, params, x, y, op = cases[0]
     d = rng.normal(size=spec.d_theta)
     bound = theorem_bound(1.0, 1.0, 0.0, op.g_theta, d, np.linalg.norm(op.jvp(d)))
     record("certified_bound_linear_exact", abs(bound - np.linalg.norm(d)), 1e-9)
 
     # graph-free kernel vs. the autodiff engine's graph-built products
-    for name, spec, params, x, y in cases:
-        op = MixedJacobianOperator(spec, params, x, y)
+    for name, spec, params, x, y, op in cases:
         for what, product, size in (("jvp", op.jvp, spec.d_theta), ("vjp", op.vjp, spec.d_x)):
             v = rng.normal(size=size)
             ref = zoo.engine_oracle(spec, params, x, y, what, v)

@@ -19,7 +19,6 @@ from gradleak import (
     MixedJacobianOperator,
     SolverConfig,
     dense_spectrum,
-    dgl_attack,
     estimate_lipschitz,
     expected_gaussian_risk,
     gaussian_perturbation,
@@ -33,6 +32,7 @@ from gradleak import (
     mixed_jvp,
     mlp_model,
     one_layer_model,
+    run_attack,
     synthetic_samples,
     theorem_bound,
 )
@@ -138,7 +138,7 @@ def test_criterion_03_linear_model_exactness():
     worst = 0.0
     for k in range(20):
         delta = rng.normal(0, 0.1, size=16)
-        res = dgl_attack(spec, params, g0 + delta, None,
+        res = run_attack(spec, params, g0 + delta, None,
                          AttackConfig(iterations=800, seed=50 + k), x0=x0)
         exact = i2f_exact(op, delta, SolverConfig(mode="dense", epsilon=0.0)).exact_value
         worst = max(worst, abs(res.l2 - np.linalg.norm(delta)), abs(res.l2 - exact))
@@ -208,7 +208,7 @@ def test_criterion_06_certified_bound(conv_net):
     for k in range(20):
         _, delta = gaussian_perturbation(g0, 1e-3, seed=400 + k)
         bound = theorem_bound(1.0, 1.0, 0.0, g0, delta, np.linalg.norm(delta))
-        res = dgl_attack(spec, params, g0 + delta, None,
+        res = run_attack(spec, params, g0 + delta, None,
                          AttackConfig(iterations=2000, seed=k), x0=x0)
         lin_fail += res.l2 < bound - 1e-9
     # nonlinear models, estimated constants: >= 95% of 20 runs
@@ -224,7 +224,7 @@ def test_criterion_06_certified_bound(conv_net):
         _, delta = gaussian_perturbation(op.g_theta, 1e-3, seed=500 + si)
         bound = theorem_bound(jn, est1.mu_l, est1.mu_j, op.g_theta, delta,
                               np.linalg.norm(op.jvp(delta)))
-        res = dgl_attack(spec1, p1, op.g_theta + delta, None,
+        res = run_attack(spec1, p1, op.g_theta + delta, None,
                          AttackConfig(iterations=1500, seed=si), x0=x0)
         held += res.l2 >= bound
     lenet, data = conv_net
@@ -237,7 +237,7 @@ def test_criterion_06_certified_bound(conv_net):
         _, delta = gaussian_perturbation(op.g_theta, 1e-3, seed=600 + si)
         bound = theorem_bound(jn, est2.mu_l, est2.mu_j, op.g_theta, delta,
                               np.linalg.norm(op.jvp(delta)))
-        res = dgl_attack(lenet, lp, op.g_theta + delta, y,
+        res = run_attack(lenet, lp, op.g_theta + delta, y,
                          AttackConfig(iterations=ATTACK_ITERS, seed=si), x0=x0)
         held += res.l2 >= bound
     ok = lin_fail == 0 and held >= 19  # 95% of 20 nonlinear runs

@@ -9,10 +9,8 @@ from gradleak import (
     AttackConfig,
     InitScheme,
     MixedJacobianOperator,
-    dgl_attack,
     gaussian_perturbation,
     gradients,
-    gs_attack,
     initialize_parameters,
     linear_dot_model,
     one_layer_model,
@@ -49,7 +47,7 @@ def test_rmse_l2_consistency():
 def test_dgl_linear_clean_recovers_exactly():
     spec, params, x0 = linear_setup()
     g0 = gradients(spec, params, x0).g_theta
-    res = dgl_attack(spec, params, g0, None, AttackConfig(iterations=600, seed=1), x0=x0)
+    res = run_attack(spec, params, g0, None, AttackConfig(iterations=600, seed=1), x0=x0)
     assert res.final_loss < 1e-12
     assert res.l2 < 1e-4
 
@@ -59,7 +57,7 @@ def test_dgl_linear_noisy_error_equals_delta_norm():
     g0 = gradients(spec, params, x0).g_theta
     rng = np.random.Generator(np.random.PCG64(3))
     delta = rng.normal(0, 0.1, size=spec.d_theta)
-    res = dgl_attack(spec, params, g0 + delta, None,
+    res = run_attack(spec, params, g0 + delta, None,
                      AttackConfig(iterations=800, seed=2), x0=x0)
     assert abs(res.l2 - np.linalg.norm(delta)) < 1e-3
 
@@ -69,7 +67,7 @@ def test_dgl_one_layer_clean():
     params = initialize_parameters(spec, InitScheme("uniform", 4))
     x0 = np.array([0.8, 0.2])
     g0 = gradients(spec, params, x0).g_theta
-    res = dgl_attack(spec, params, g0, None, AttackConfig(iterations=2000, seed=0), x0=x0)
+    res = run_attack(spec, params, g0, None, AttackConfig(iterations=2000, seed=0), x0=x0)
     assert res.final_loss < 1e-8
     assert res.l2 < 1e-3
 
@@ -102,14 +100,14 @@ def test_gs_box_projection_default():
     assert AttackConfig(kind="dgl", box_projection=True).project is True
     spec, params, x0 = linear_setup(4)
     g0 = gradients(spec, params, x0).g_theta
-    res = gs_attack(spec, params, g0, None, AttackConfig(kind="gs", iterations=50, seed=0), x0=x0)
+    res = run_attack(spec, params, g0, None, AttackConfig(kind="gs", iterations=50, seed=0), x0=x0)
     assert res.x_star.min() >= 0.0 and res.x_star.max() <= 1.0
 
 
 def test_gs_rejects_zero_target():
     spec, params, x0 = linear_setup(3)
     with pytest.raises(ValueError, match="zero target"):
-        gs_attack(spec, params, np.zeros(3), None, AttackConfig(kind="gs", iterations=5))
+        run_attack(spec, params, np.zeros(3), None, AttackConfig(kind="gs", iterations=5))
 
 
 def test_attack_determinism_and_trace():
@@ -140,8 +138,6 @@ def test_attack_config_validation():
         AttackConfig(kind="tag")
     with pytest.raises(ValueError):
         AttackConfig(iterations=0)
-    with pytest.raises(ValueError):
-        dgl_attack(None, None, None, None, AttackConfig(kind="gs"))
 
 
 def test_gaussian_perturbation_basics():

@@ -430,3 +430,26 @@ def test_init_compare_on_a_zero_jacobian_runs_at_positive_epsilon(tmp_path):
     with open(tmp_path / "out" / "init_compare.csv") as f:
         (row,) = csv.DictReader(line for line in f if not line.startswith("#"))
     assert float(row["expected_sq_risk"]) == 0.0
+
+
+def test_malformed_idx_file_is_a_config_error(tmp_path, capsys):
+    # one config error line, and no output directory: the data load before it is made
+    path = zero_jacobian_config(tmp_path)
+    images = tmp_path / "imgs.idx"
+    images.write_bytes(images.read_bytes()[:-5])
+    assert main(["audit", "--config", path]) == 2
+    assert capsys.readouterr().err == (f"config error: data: {images}: "
+                                       "expected 2 images of 3x3, file too short\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("runner", ["run_audit", "run_eigen_defense", "run_fairness",
+                                    "run_init_compare", "run_efficiency", "run_spectrum"])
+def test_kernel_check_failure_stops_the_runner_before_its_csv(tmp_path, monkeypatch, runner):
+    # an engine that disagrees with the kernel by a factor 2 on the first operator
+    oracle = experiments.zoo.engine_oracle
+    monkeypatch.setattr(experiments.zoo, "engine_oracle", lambda *args: 2.0 * oracle(*args))
+    doc = base_doc(str(tmp_path / "out"), repetitions=1, init_schemes=["uniform"])
+    with pytest.raises(RuntimeError, match="kernel disagrees with the autodiff engine"):
+        getattr(experiments, runner)(load_config(write_doc(tmp_path, doc)))
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -167,6 +167,10 @@ RUN_RANGES = (
         ({"kind": "lenet", "padding": -1}, "padding >= 0"),
         ({"kind": "lenet", "kernel": 9}, r"layer 0: kernel 9 does not fit input \(1, 3, 3\)"),
         ({"kind": "lenet", "kernel": 3, "padding": 0}, "layer 2: kernel 3 does not fit"),
+        # data that do not fit the model: 9 values per image, and labels 0, 2, 0, of
+        # which sample 0's fits a 2-class head but training would fit them all
+        ({"kind": "mlp", "d": 10}, r"data of shape \(1, 3, 3\) do not fit model input \(10,\)"),
+        ({"kind": "mlp", "num_classes": 2}, "the data hold label 2 but the model has 2 classes"),
     )])
 
 

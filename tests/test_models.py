@@ -209,3 +209,17 @@ def test_materialize_budget_refusal_by_columns():
     spec, params, x = frozen_one_layer()
     with pytest.raises(BudgetError, match="dense Jacobian needs 4 entries, budget is 3"):
         materialize_jacobian(spec, params, x, budget=3, by="columns")
+
+
+@pytest.mark.parametrize("loss, extra, message", [
+    ("hinge", {}, "unknown loss kind 'hinge'"),
+    ("cross_entropy", {"num_classes": 3},
+     r"cross_entropy expects final shape \(3,\), model produces \(2,\)"),
+    ("squared_error", {}, "squared_error loss needs a target vector"),
+    ("squared_error", {"target": np.zeros(3)},
+     r"squared_error target has length 3, model produces \(2,\)"),
+])
+def test_loss_that_does_not_fit_the_output_is_a_shape_error(loss, extra, message):
+    # a Linear(4, 2) stack: two outputs, which each loss check reads
+    with pytest.raises(ShapeError, match=message):
+        ModelSpec([Linear(4, 2)], loss, (4,), **extra)
