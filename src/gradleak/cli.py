@@ -13,6 +13,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .influence import SingularSpectrumError
+from .models import BudgetError
 from . import experiments
 
 
@@ -64,7 +65,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except SingularSpectrumError as e:
+    except (SingularSpectrumError, BudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"wrote results to {cfg.output_dir}")

@@ -79,6 +79,10 @@ def load_idx(images_path, labels_path, limit=None, num_classes=10) -> Dataset:
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     pixels = pixels.reshape(count, 1, rows, cols).astype(np.float64) / 255.0
     labels = np.frombuffer(raw_l, dtype=np.uint8, count=count, offset=8)
+    beyond = np.flatnonzero(labels >= num_classes)
+    if beyond.size:
+        raise IdxFormatError(f"{labels_path}: label {labels[beyond[0]]} of sample {beyond[0]} "
+                             f"is not below num_classes {num_classes}")
     samples = tuple(
         Sample(image=pixels[i], label=int(labels[i]), source=f"idx:{i}") for i in range(count)
     )

@@ -1,12 +1,12 @@
 """Desk-scale experiment suite behind the CLI.
 
-Each runner is a pure function of (config, seed).  `_start` builds its
-model and data and checks once that they fit each other before it makes
-the output directory; `_write` writes each order-stable CSV under the
-config hash and seed comment lines.  Runners return the rows they wrote,
-and may dump PGM images.  Wall-clock measurements stay out of the CSVs
-so reruns are byte-identical; the efficiency runner writes timings to a
-separate sidecar file instead.
+Each runner is a pure function of (config, seed).  `_start` fits its
+model and data to each other before it makes the output directory.  The
+four attack runners (audit, eigen-defense, fairness, init-compare) draw
+each delta and attack g_0 + delta on one path, `_measure`, under seeds of
+their own.  `_write` writes each order-stable CSV under the config hash
+and seed lines; runners return the rows they wrote and may dump PGM
+images.  Timings stay out of the CSVs, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -170,6 +170,21 @@ def _realize_perturbation(pert, op, g0, seed, spectrum=None):
         raise ConfigError(str(e)) from e
 
 
+def _measure(cfg, params, sample, op, jobs, spectrum=None):
+    """(delta, description value, AttackResult) per job (pert, delta seed,
+    attack seed, dump tag or None): every delta first, so that a bad one stops
+    the run unattacked, then one attack of g_0 + delta each, x_star dumped if tagged."""
+    x0, out = sample.image.reshape(op.spec.input_shape), []
+    drawn = [_realize_perturbation(pert, op, op.g_theta, seed, spectrum) for pert, seed, *_ in jobs]
+    for (_, _, attack_seed, tag), (delta, value) in zip(jobs, drawn):
+        res = run_attack(op.spec, params, op.g_theta + delta, sample.label,
+                         _attack_config(cfg, attack_seed), x0=x0)
+        if tag and cfg.dump_images:
+            _dump_pair(cfg, tag, sample, res.x_star)
+        out.append((delta, value, res))
+    return out
+
+
 def run_audit(cfg: ExperimentConfig):
     """One row per (sample, perturbation, epoch): metric values vs. attack error.
     A sample's perturbations are one (d_theta, P) block and share one Lanczos,
@@ -182,55 +197,44 @@ def run_audit(cfg: ExperimentConfig):
     rows = []
     needs_spectrum = any(p.kind == "singular_direction" for p in cfg.perturbations)
     for epoch, params in _parameter_epochs(cfg, spec, dataset):
-        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-            g0 = op.g_theta
+        for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
             spectrum = dense_spectrum(op) if needs_spectrum else None
-            realized = [_realize_perturbation(pert, op, g0, job_seed(cfg.seed, epoch, si, pi),
-                                              spectrum)
-                        for pi, pert in enumerate(cfg.perturbations)]
-            D = np.stack([delta for delta, _ in realized], axis=1)
+            measured = _measure(cfg, params, sample, op, [
+                (pert, job_seed(cfg.seed, epoch, si, pi), job_seed(cfg.seed, epoch, si, pi, 1),
+                 f"audit_e{epoch}_s{si}_p{pi}") for pi, pert in enumerate(cfg.perturbations)], spectrum)
+            D = np.stack([delta for delta, _, _ in measured], axis=1)
             lb = i2f_lower_bound(op, D, seed=job_seed(cfg.seed, epoch, si),
                                  epsilon=cfg.solver.epsilon)
             exact = i2f_exact(op, D, cfg.solver, spectrum=spectrum,
                               lambda_max=lb.lambda_max).exact_value
-            for pi, (pert, (delta, param_val)) in enumerate(zip(cfg.perturbations, realized)):
-                atk_cfg = _attack_config(cfg, job_seed(cfg.seed, epoch, si, pi, 1))
-                res = run_attack(spec, params, g0 + delta, y, atk_cfg, x0=x0)
-                if cfg.dump_images:
-                    _dump_pair(cfg, f"audit_e{epoch}_s{si}_p{pi}", sample, res.x_star)
+            for pi, (pert, (delta, param_val, res)) in enumerate(zip(cfg.perturbations, measured)):
                 rows.append([si, epoch, pert.kind, param_val, float(np.linalg.norm(delta)),
                              cfg.solver.epsilon, float(exact[pi]), float(lb.lower_bound[pi]),
                              lb.lambda_max, cfg.attack.kind, res.l2, res.rmse, res.final_loss])
     return rows, _write(cfg, "audit.csv", header, rows)
 
 
-def _direction_indices(rank, k):
-    return sorted(set(int(i) for i in np.round(np.linspace(0, rank - 1, k))))
-
-
 def run_eigen_defense(cfg: ExperimentConfig):
     """Equal-norm perturbations along singular directions spanning the spectrum."""
     spec, dataset = _start(cfg)
-    pert = _perturbation(cfg, "singular_direction")  # index unused: the ladder picks directions
+    pert = _perturbation(cfg, "singular_direction")  # each rung replaces its index
     header = ["sample", "direction_rank", "sigma", "lambda", "inv_sigma", "inv_lambda",
               "delta_norm", "attack_l2", "attack_mse"]
     rows = []
     params = initialize_parameters(spec, cfg.init)
-    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+    for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
         rep = dense_spectrum(op)
         if rep.rank == 0:
             raise SingularSpectrumError(f"J has rank 0 at sample {si}: "
                                         "no singular direction to perturb along")
         s = rep.singular_values
-        for di in _direction_indices(rep.rank, cfg.eigen_directions):
-            delta, _ = singular_direction_perturbation(op, di, pert.scale, spectrum=rep)
-            atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, di))
-            res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
-            if cfg.dump_images:
-                _dump_pair(cfg, f"eigen_s{si}_d{di}", sample, res.x_star)
-            rows.append([si, di, float(s[di]), float(s[di] ** 2), float(1.0 / s[di]),
-                         float(1.0 / s[di] ** 2), float(np.linalg.norm(delta)),
-                         res.l2, res.rmse ** 2])
+        rungs = sorted(set(int(i) for i in np.round(np.linspace(0, rep.rank - 1, cfg.eigen_directions))))
+        measured = _measure(cfg, params, sample, op, [
+            (dataclasses.replace(pert, index=di), None, job_seed(cfg.seed, si, di),
+             f"eigen_s{si}_d{di}") for di in rungs], rep)
+        rows += [[si, di, float(s[di]), float(s[di] ** 2), float(1.0 / s[di]), float(1.0 / s[di] ** 2),
+                  float(np.linalg.norm(delta)), res.l2, res.rmse ** 2]
+                 for di, (delta, _, res) in zip(rungs, measured)]
     return rows, _write(cfg, "eigen_defense.csv", header, rows)
 
 
@@ -244,25 +248,21 @@ def run_fairness(cfg: ExperimentConfig):
                      "attack_l2", "attack_mse"]
     rows = []
     results = []
-    for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-        delta, _ = _realize_perturbation(pert, op, op.g_theta, job_seed(cfg.seed, si))
+    for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+        [(delta, _, res)] = _measure(cfg, params, sample, op,
+                                     [(pert, job_seed(cfg.seed, si), job_seed(cfg.seed, si, 2), None)])
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1),
                              epsilon=cfg.solver.epsilon)
-        atk_cfg = _attack_config(cfg, job_seed(cfg.seed, si, 2))
-        res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
         rows.append([si, sample.label, pert.variance, float(np.linalg.norm(delta)),
                      lb.lower_bound, res.l2, res.rmse ** 2])
         results.append((si, sample, res))
     sample_path = _write(cfg, "fairness_samples.csv", sample_header, rows)
 
-    class_rows = []
     by_class = {}
     for r in rows:
         by_class.setdefault(r[1], []).append(r[6])
-    for label in sorted(by_class):
-        mses = np.array(by_class[label])
-        class_rows.append([label, len(mses), float(mses.mean()),
-                           float(mses.var()) if len(mses) > 1 else 0.0])
+    class_rows = [[label, len(mses), float(np.mean(mses)), float(np.var(mses))]
+                  for label, mses in sorted(by_class.items())]
     class_path = _write(cfg, "fairness_classes.csv", ["label", "count", "mean_mse", "var_mse"],
                         class_rows)
 
@@ -282,7 +282,7 @@ def run_init_compare(cfg: ExperimentConfig):
     rows = []
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
-        for si, sample, x0, y, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+        for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
             spectrum = dense_spectrum(op, vectors=False)
             try:
                 exp_risk = expected_gaussian_risk(spectrum, pert.variance, cfg.solver.epsilon)
@@ -291,12 +291,11 @@ def run_init_compare(cfg: ExperimentConfig):
                     f"J has rank {spectrum.rank} < d_x = {op.d_x} under init scheme "
                     f"{scheme_kind!r} at sample {si}: the expected risk needs a "
                     "full-rank J") from e
-            for rep in range(cfg.repetitions):
-                seed = job_seed(cfg.seed, scheme_idx, si, rep)
-                delta, _ = _realize_perturbation(pert, op, op.g_theta, seed)
-                atk_cfg = _attack_config(cfg, job_seed(seed, 1))
-                res = run_attack(spec, params, op.g_theta + delta, y, atk_cfg, x0=x0)
-                rows.append([scheme_kind, si, rep, pert.variance, exp_risk, res.l2, res.rmse ** 2])
+            measured = _measure(cfg, params, sample, op, [
+                (pert, job_seed(cfg.seed, scheme_idx, si, rep),
+                 job_seed(cfg.seed, scheme_idx, si, rep, 1), None) for rep in range(cfg.repetitions)])
+            rows += [[scheme_kind, si, rep, pert.variance, exp_risk, res.l2, res.rmse ** 2]
+                     for rep, (_, _, res) in enumerate(measured)]
     return rows, _write(cfg, "init_compare.csv", header, rows)
 
 

@@ -87,6 +87,16 @@ def test_singular_index_beyond_rank_is_a_config_error(tmp_path):
         experiments.run_audit(audit_config(tmp_path, beyond))
 
 
+def test_a_perturbation_beyond_rank_stops_the_audit_before_any_attack(tmp_path, monkeypatch):
+    # the sample's first perturbation is fine; its attack must not run either
+    attacked = count_calls(monkeypatch, "run_attack", experiments)
+    beyond = [{"kind": "gaussian", "variance": 1e-3},
+              {"kind": "singular_direction", "index": 9, "scale": 0.1}]
+    with pytest.raises(ConfigError, match="out of range for rank"):
+        experiments.run_audit(audit_config(tmp_path, beyond))
+    assert not attacked
+
+
 @pytest.mark.parametrize("mode", SOLVER_MODES)
 def test_rows_equal_lone_solves(tmp_path, mode):
     cfg = audit_config(tmp_path, MIXED + SINGULAR, mode)

@@ -366,6 +366,19 @@ def test_cli_singular_spectrum_exit_1(tmp_path, capsys, runner, message):
     assert "Traceback" not in err and "epsilon" not in err
 
 
+@pytest.mark.parametrize("runner", ["spectrum", "eigen-defense", "init-compare"])
+def test_cli_gram_over_budget_exit_1(tmp_path, capsys, runner):
+    # d_x = 3163: the Gram J J^T holds 10,004,569 entries, over the 10M budget
+    data = {"kind": "synthetic", "synthetic_kind": "gaussian_blobs", "shape": [1, 1, 3163],
+            "count": 1, "seed": 1, "num_classes": 3}
+    doc = base_doc(str(tmp_path / "out"), model={"kind": "linear"}, data=data, samples=1,
+                   repetitions=1, init_schemes=["uniform"])
+    assert main([runner, "--config", write_doc(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == ("error: Gram matrix J J^T needs 10004569 entries, "
+                                       "budget is 10000000\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_python_dash_m_runs_validate():
     import gradleak
 
@@ -440,6 +453,22 @@ def test_malformed_idx_file_is_a_config_error(tmp_path, capsys):
     assert main(["audit", "--config", path]) == 2
     assert capsys.readouterr().err == (f"config error: data: {images}: "
                                        "expected 2 images of 3x3, file too short\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_idx_label_beyond_data_num_classes_is_a_config_error(tmp_path, capsys):
+    # labels 0, 7, 7 under data.num_classes 3, although a 10-way head would take them
+    images = np.linspace(0.0, 1.0, 27).reshape(3, 1, 3, 3)
+    ds = Dataset(tuple(Sample(images[i], label, f"s:{i}") for i, label in enumerate((0, 7, 7))),
+                 3, (1, 3, 3))
+    ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+    write_idx(ds, ip, lp)
+    doc = base_doc(str(tmp_path / "out"), model={"kind": "mlp", "num_classes": 10},
+                   data={"kind": "idx", "images_path": ip, "labels_path": lp,
+                         "shape": [1, 3, 3], "num_classes": 3})
+    assert main(["audit", "--config", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (f"config error: data: {lp}: label 7 of sample 1 "
+                                       "is not below num_classes 3\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -7,9 +7,12 @@ import dataclasses
 import os
 
 import numpy as np
+import pytest
 
 from gradleak import experiments
-from gradleak.config import PerturbationConfig, load_config, parse_config
+from gradleak.attacks import gaussian_perturbation, run_attack, singular_direction_perturbation
+from gradleak.config import PerturbationConfig, job_seed, load_config, parse_config
+from gradleak.models import InitScheme, MixedJacobianOperator, initialize_parameters
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,3 +108,58 @@ def test_eigen_defense_attack_columns_under_a_last_digit_nudge(tmp_path, monkeyp
         assert abs(b[6] - a[6]) <= 1e-12
         assert abs(b[7] - a[7]) <= ATTACK_L2_MOVE * a[7]
         assert abs(b[8] - a[8]) <= ATTACK_MSE_MOVE * a[8]
+
+
+# Every attack column of the four attack runners is a direct run_attack on
+# g_0 + delta under the runner's own delta and attack seeds (README's table).
+SEEDED_ROUTES = ["audit", "eigen_defense", "fairness", "init_compare"]
+
+
+@pytest.mark.parametrize("runner", SEEDED_ROUTES)
+def test_attack_columns_equal_a_direct_attack_on_the_seeded_delta(tmp_path, runner):
+    cfg = config(tmp_path, [{"kind": "gaussian", "variance": 1e-3},
+                            {"kind": "singular_direction", "index": 1, "scale": 0.5}],
+                 repetitions=2, init_schemes=["uniform", "xavier"], eigen_directions=3)
+    spec = experiments.build_model_from_config(cfg)
+    dataset = experiments.load_dataset(cfg)
+    s = cfg.seed
+
+    def attack(params, si, draw, attack_seed):
+        x, y = dataset[si].image.reshape(spec.input_shape), dataset[si].label
+        op = MixedJacobianOperator(spec, params, x, y)
+        delta = draw(op)
+        return run_attack(spec, params, op.g_theta + delta, y,
+                          dataclasses.replace(cfg.attack, seed=attack_seed), x0=x)
+
+    def gaussian(seed):
+        return lambda op: gaussian_perturbation(op.g_theta, 1e-3, seed=seed)[1]
+
+    def rung(index):
+        return lambda op: singular_direction_perturbation(op, index, 0.5)[0]
+
+    params = initialize_parameters(spec, cfg.init)
+    if runner == "audit":
+        rows, _ = experiments.run_audit(cfg)
+        got = [r[10:] for r in rows]
+        runs = [attack(params, si, draw, job_seed(s, 0, si, pi, 1))
+                for si in range(2)
+                for pi, draw in enumerate([gaussian(job_seed(s, 0, si, 0)), rung(1)])]
+        want = [[r.l2, r.rmse, r.final_loss] for r in runs]
+    else:
+        if runner == "eigen_defense":
+            rows, _ = experiments.run_eigen_defense(cfg)
+            runs = [attack(params, si, rung(di), job_seed(s, si, di)) for si, di, *_ in rows]
+        elif runner == "fairness":
+            rows, *_ = experiments.run_fairness(cfg)
+            runs = [attack(params, si, gaussian(job_seed(s, si)), job_seed(s, si, 2))
+                    for si in range(2)]
+        else:
+            rows, _ = experiments.run_init_compare(cfg)
+            runs = [attack(initialize_parameters(spec, InitScheme(kind, cfg.init.seed)), si,
+                           gaussian(job_seed(s, k, si, rep)), job_seed(s, k, si, rep, 1))
+                    for k, kind in enumerate(cfg.init_schemes)
+                    for si in range(2) for rep in range(2)]
+        got = [r[-2:] for r in rows]
+        want = [[r.l2, r.rmse ** 2] for r in runs]
+    assert len(got) == len(want) > 0
+    assert got == want
