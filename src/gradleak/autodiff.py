@@ -243,30 +243,20 @@ def conv_geometry(in_shape, kernel, stride, padding):
     return geom
 
 
-def im2col_data(x, kernel, stride, padding):
-    """Patch columns of a (C,H,W) array, or of each image of a (k,C,H,W)
-    stack: the gather both autodiff and the graph-free kernel use."""
-    return gather_patches(x, conv_geometry(x.shape[-3:], kernel, stride, padding))
-
-
 def gather_patches(x, geometry):
-    """im2col_data, given the conv_geometry of x's image shape."""
+    """Patch columns of a (C,H,W) array, or of each image of a (k,C,H,W)
+    stack, given the conv_geometry of its image shape: the gather both
+    autodiff and the graph-free kernel use."""
     idx, size, _ = geometry
     lead = x.shape[:-3]
     flat = np.concatenate((x.reshape(lead + (size,)), np.zeros(lead + (1,))), axis=-1)
     return flat.take(idx, axis=-1)
 
 
-def col2im_data(cols, in_shape, kernel, stride, padding):
-    """Adjoint of im2col_data: scatter-add patch columns back to the
-    (C,H,W) shape `in_shape`, or each of a (k, rows, positions) stack
-    back to (k,C,H,W)."""
-    in_shape = tuple(in_shape)
-    return scatter_patches(cols, conv_geometry(in_shape, kernel, stride, padding), in_shape)
-
-
 def scatter_patches(cols, geometry, in_shape):
-    """col2im_data, given the conv_geometry of `in_shape`, a tuple.
+    """Adjoint of gather_patches: scatter-add patch columns back to the
+    (C,H,W) tuple `in_shape` whose conv_geometry is `geometry`, or each of
+    a (k, rows, positions) stack back to (k,C,H,W).
 
     bincount adds the weights of each bin in index order, as np.add.at
     does, so the sums are the same bit for bit; each image of a stack is
@@ -280,17 +270,15 @@ def scatter_patches(cols, geometry, in_shape):
     return out.reshape(lead + in_shape)
 
 
-def im2col(x, kernel, stride, padding):
+def im2col(x, geometry):
     x = as_var(x)
     in_shape = x.data.shape
-    data = im2col_data(x.data, kernel, stride, padding)
-    return Var(data, (x,), lambda g: (col2im(g, in_shape, kernel, stride, padding),))
+    return Var(gather_patches(x.data, geometry), (x,), lambda g: (col2im(g, geometry, in_shape),))
 
 
-def col2im(cols, in_shape, kernel, stride, padding):
+def col2im(cols, geometry, in_shape):
     cols = as_var(cols)
-    data = col2im_data(cols.data, in_shape, kernel, stride, padding)
-    return Var(data, (cols,), lambda g: (im2col(g, kernel, stride, padding),))
+    return Var(scatter_patches(cols.data, geometry, in_shape), (cols,), lambda g: (im2col(g, geometry),))
 
 
 # ---------------------------------------------------------------------------

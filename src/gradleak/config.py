@@ -128,8 +128,11 @@ class PerturbationConfig:
     def __post_init__(self):
         if self.kind not in ("gaussian", "prune", "singular_direction"):
             raise ConfigError(f"unknown kind {self.kind!r}")
-        if self.variance < 0 or not 0 <= self.ratio <= 1 or self.scale < 0:
-            raise ConfigError("out-of-range values")
+        for name, ok, want in (("variance", self.variance >= 0, ">= 0"),
+                               ("ratio", 0 <= self.ratio <= 1, "in [0, 1]"),
+                               ("scale", self.scale >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"out-of-range values: {name} must be {want}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Desk-scale experiment suite behind the CLI.
 
-Each runner is a pure function of (config, seed).  `_start` fits its
-model and data to each other before it makes the output directory.  The
-four attack runners (audit, eigen-defense, fairness, init-compare) draw
-each delta and attack g_0 + delta on one path, `_measure`, under seeds of
-their own.  `_write` writes each order-stable CSV under the config hash
-and seed lines; runners return the rows they wrote and may dump PGM
-images.  Timings stay out of the CSVs, so reruns are byte-identical.
+Each runner is a pure function of (config, seed).  `_start` fits its model
+and data to each other; `_output_path` makes the output directory with a
+run's first file.  The four attack runners (audit, eigen-defense, fairness,
+init-compare) draw each delta and attack g_0 + delta on one path, `_measure`,
+under seeds of their own.  `_write` writes each order-stable CSV under the
+config hash and seed lines; runners return the rows they wrote and may dump
+PGM images.  Timings stay out of the CSVs, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _start(cfg: ExperimentConfig):
-    """(spec, dataset) of every runner, checked once to fit each other before
-    the output directory is made: an unreadable IDX file, fewer than
-    cfg.samples samples, images of another size than the model input, or a
-    label beyond a cross-entropy head is a ConfigError."""
+    """(spec, dataset) of every runner, checked once to fit each other: an
+    unreadable IDX file, fewer than cfg.samples samples, images of another
+    size than the model input, or a label beyond a cross-entropy head is a
+    ConfigError."""
     spec = build_model_from_config(cfg)
     try:
         dataset = load_dataset(cfg)
@@ -92,14 +92,19 @@ def _start(cfg: ExperimentConfig):
     top = max(s.label for s in dataset)
     if spec.loss == "cross_entropy" and top >= spec.num_classes:
         raise ConfigError(f"the data hold label {top} but the model has {spec.num_classes} classes")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return spec, dataset
+
+
+def _output_path(cfg: ExperimentConfig, name):
+    """The path of file `name` in the output directory, made if it is not yet."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return os.path.join(cfg.output_dir, name)
 
 
 def _write(cfg: ExperimentConfig, name, header, rows):
     """Write rows to the CSV `name` in the output directory, under the
     config hash and seed comment lines; return its path."""
-    path = os.path.join(cfg.output_dir, name)
+    path = _output_path(cfg, name)
     write_report_csv(rows, path, header=header,
                      comments=[f"config_hash={cfg.config_hash()}", f"seed={cfg.seed}"])
     return path
@@ -190,6 +195,8 @@ def run_audit(cfg: ExperimentConfig):
     A sample's perturbations are one (d_theta, P) block and share one Lanczos,
     whose lambda_max the floor and the Richardson step both read, and at most
     one Gram J J^T, which the singular directions and the dense solve both read."""
+    if not cfg.perturbations:
+        raise ConfigError("audit needs at least one perturbation")
     spec, dataset = _start(cfg)
     header = ["sample", "epoch", "pert_kind", "pert_param", "delta_norm", "epsilon",
               "i2f_exact", "i2f_lower_bound", "lambda_max", "attack_kind",
@@ -299,7 +306,11 @@ def run_init_compare(cfg: ExperimentConfig):
     return rows, _write(cfg, "init_compare.csv", header, rows)
 
 
-def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0.1, 0.05, 0.01)):
+EFFICIENCY_SEEDS = 5  # Lanczos runs, and attacks per learning rate
+EFFICIENCY_LEARNING_RATES = (1.0, 0.5, 0.1, 0.05, 0.01)
+
+
+def run_efficiency(cfg: ExperimentConfig):
     """Lanczos Ritz-value traces of lambda_max vs. attack-loss traces.
 
     Iteration traces go into the CSV (deterministic); wall-clock numbers
@@ -310,7 +321,7 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
     _, _, x0, y, op = next(_sample_operators(spec, params, dataset, 1, cfg.seed))
     power_rows = []
     metric_time = 0.0
-    for s in range(n_seeds):
+    for s in range(EFFICIENCY_SEEDS):
         t0 = time.perf_counter()
         _, _, _, trace = lambda_max_power_iteration(op, seed=job_seed(cfg.seed, s))
         metric_time = max(metric_time, time.perf_counter() - t0)
@@ -320,8 +331,8 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
 
     attack_rows = []
     attack_time = float("inf")
-    for lr in learning_rates:
-        for s in range(n_seeds):
+    for lr in EFFICIENCY_LEARNING_RATES:
+        for s in range(EFFICIENCY_SEEDS):
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, s, int(lr * 1000)), learning_rate=lr)
             t0 = time.perf_counter()
             res = run_attack(spec, params, op.g_theta, y, atk_cfg, x0=x0)
@@ -331,7 +342,7 @@ def run_efficiency(cfg: ExperimentConfig, n_seeds=5, learning_rates=(1.0, 0.5, 0
            attack_rows)
 
     ratio = attack_time / metric_time if metric_time > 0 else float("inf")
-    with open(os.path.join(cfg.output_dir, "efficiency_timings.txt"), "w") as f:
+    with open(_output_path(cfg, "efficiency_timings.txt"), "w") as f:
         f.write(f"power_iteration_max_seconds={metric_time:.6f}\n")
         f.write(f"attack_min_seconds={attack_time:.6f}\n")
         f.write(f"time_ratio_attack_over_metric={ratio:.6f}\n")
@@ -360,7 +371,7 @@ def _dump_pair(cfg, tag, sample, x_star):
     shape = x0.shape if x0.ndim in (2, 3) else (1, -1)
     for name, image in (("original", x0), ("recovered", x_star)):
         write_pgm(np.clip(np.reshape(image, shape), 0.0, 1.0),
-                  os.path.join(cfg.output_dir, f"{tag}_{name}.pgm"))
+                  _output_path(cfg, f"{tag}_{name}.pgm"))
 
 
 # ---------------------------------------------------------------------------

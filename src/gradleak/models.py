@@ -97,21 +97,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """Flat parameter vector plus per-layer (offset, shape) map."""
+    """Flat parameter vector; ModelSpec.plan places each layer's weights in it."""
 
     theta: np.ndarray
-    slots: tuple  # ((layer_index, offset, shape), ...)
 
     def with_theta(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != self.theta.shape:
             raise ShapeError(f"parameter vector length {theta.size} != {self.theta.size}")
-        return ParameterSet(theta, self.slots)
-
-
-def parameter_slots(spec: ModelSpec):
-    """((layer_index, offset, shape), ...) of a spec's weighted layers."""
-    return tuple((i, step.off, step.shape) for i, step in enumerate(spec.plan) if isinstance(step, _Affine))
+        return ParameterSet(theta)
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,14 @@ class InitScheme:
 
 
 def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
+    """theta with each weighted layer's block drawn in plan order, where spec.plan places it."""
     rng = np.random.Generator(np.random.PCG64(scheme.seed))
-    slots = parameter_slots(spec)
     theta = np.zeros(spec.d_theta)
-    for _, off, shape in slots:
-        n = int(np.prod(shape))
-        fan_out, fan_in = shape
+    for step in spec.plan:
+        if not isinstance(step, _Affine):
+            continue
+        n = step.size
+        fan_out, fan_in = step.shape
         if scheme.kind == "uniform":
             block = rng.uniform(-0.5, 0.5, size=n)
         elif scheme.kind == "normal":
@@ -142,8 +138,8 @@ def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
         else:  # xavier
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             block = rng.uniform(-bound, bound, size=n)
-        theta[off:off + n] = block
-    return ParameterSet(theta, slots)
+        theta[step.off:step.off + n] = block
+    return ParameterSet(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +147,8 @@ def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
 
 
 def _forward_var(spec, theta_var, x_var, y):
-    """The loss as an autodiff graph: each weighted layer's slot and shapes
-    come from spec.plan, its products from the engine's own operations."""
+    """The loss as an autodiff graph: each layer's weights, shapes and patch
+    geometry come from spec.plan, its products from the engine's own operations."""
     h = x_var
     for i, (layer, step) in enumerate(zip(spec.layers, spec.plan)):
         if isinstance(step, _Affine):
@@ -160,7 +156,7 @@ def _forward_var(spec, theta_var, x_var, y):
             if step.geometry is None:
                 h = ad.matmul(w, h)
             else:
-                cols = ad.im2col(h, layer.kernel, layer.stride, layer.padding)
+                cols = ad.im2col(h, step.geometry)
                 h = ad.reshape(ad.matmul(w, cols), step.out_shape)
         elif isinstance(layer, Activation):
             h = ACTIVATIONS[layer.kind](h)

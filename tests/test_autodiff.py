@@ -84,7 +84,7 @@ def test_im2col_col2im_are_adjoint():
     shape, k, s, p = (2, 6, 6), 3, 2, 1
     x = RNG.normal(size=shape)
     xv = Var(x)
-    cols = ad.im2col(xv, k, s, p)
+    cols = ad.im2col(xv, ad.conv_geometry(shape, k, s, p))
     c = RNG.normal(size=cols.data.shape)
     lhs = float(np.sum(cols.data * c))
     (gx,) = grad(ad.sum_all(ad.mul(cols, Var(c))), [xv])
@@ -119,13 +119,14 @@ def test_im2col_col2im_match_padded_add_at(in_shape, k, s, p):
     x = RNG.normal(size=in_shape)
     xpad = np.zeros(pad_shape)
     xpad[:, p:p + h, p:p + w] = x
-    assert np.array_equal(ad.im2col_data(x, k, s, p), xpad.reshape(-1)[idx])
+    geometry = ad.conv_geometry(in_shape, k, s, p)
+    assert np.array_equal(ad.gather_patches(x, geometry), xpad.reshape(-1)[idx])
     cols = RNG.normal(size=idx.shape)
     flat = np.zeros(xpad.size)
     np.add.at(flat, idx.reshape(-1), cols.reshape(-1))
     expect = flat.reshape(pad_shape)[:, p:p + h, p:p + w]
-    assert np.array_equal(ad.col2im_data(cols, in_shape, k, s, p), expect)
-    assert np.array_equal(ad.col2im(Var(cols), in_shape, k, s, p).data, expect)
+    assert np.array_equal(ad.scatter_patches(cols, geometry, in_shape), expect)
+    assert np.array_equal(ad.col2im(Var(cols), geometry, in_shape).data, expect)
 
 
 def test_shared_subexpression_diamond():

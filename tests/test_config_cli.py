@@ -238,8 +238,7 @@ def test_spectrum_runner(tmp_path):
 
 def test_efficiency_sidecar(tmp_path):
     doc = base_doc(str(tmp_path / "out"), attack={"kind": "dgl", "iterations": 20})
-    experiments.run_efficiency(load_config(write_doc(tmp_path, doc)),
-                               n_seeds=2, learning_rates=(0.1,))
+    experiments.run_efficiency(load_config(write_doc(tmp_path, doc)))
     out = tmp_path / "out"
     txt = open(out / "efficiency_timings.txt").read()
     assert "time_ratio_attack_over_metric=" in txt
@@ -267,8 +266,7 @@ ATTACK_RUNNERS = {
     "fairness": (experiments.run_fairness, {"samples": 2}),
     "init-compare": (experiments.run_init_compare,
                      {"samples": 1, "repetitions": 1, "init_schemes": ["uniform", "xavier"]}),
-    "efficiency": (lambda c: experiments.run_efficiency(c, n_seeds=2, learning_rates=(0.1,)),
-                   {}),
+    "efficiency": (experiments.run_efficiency, {}),
 }
 
 
@@ -389,6 +387,20 @@ def test_python_dash_m_runs_validate():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PASS ") and "FAIL" not in proc.stdout
+
+
+def test_setup_probe_runs_on_shipped_configs():
+    # the benchmark times set-up with this probe, which imports the config
+    # reader, the model and data builders and the initializer by name
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = [os.path.join(root, "scripts", "configs", name)
+               for name in ("audit_lenet.json", "training_dynamics_mlp.json")]
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
+                           *configs], env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and float(lines[0]) > 0, proc.stdout
 
 
 def test_zero_jacobian_audit_is_one_row_in_every_mode(tmp_path):

@@ -138,11 +138,14 @@ KINDS_AND_RANGES = [
     (("data", "shape"), [1, 0, 3], "shape must hold 3 entries, each >= 1"),
     (("data", "shape"), [], "shape must hold 3 entries"),
     (("data", "num_classes"), 0, "num_classes must be >= 1"),
+    (("perturbations", 0, "variance"), -0.5, "out-of-range values: variance must be >= 0, got -0.5"),
+    (("perturbations", 0, "ratio"), 1.5, r"out-of-range values: ratio must be in \[0, 1\], got 1.5"),
+    (("perturbations", 0, "scale"), -2.0, "out-of-range values: scale must be >= 0, got -2.0"),
 ]
 
 
 @pytest.mark.parametrize("path,value,message", KINDS_AND_RANGES,
-                         ids=[f"{'.'.join(p)}={json.dumps(v)}" for p, v, _ in KINDS_AND_RANGES])
+                         ids=[f"{'.'.join(map(str, p))}={json.dumps(v)}" for p, v, _ in KINDS_AND_RANGES])
 def test_kinds_and_ranges_are_checked_when_read(tmp_path, capsys, path, value, message):
     doc = with_value(path, value)
     with pytest.raises(ConfigError, match=message):
@@ -171,11 +174,17 @@ RUN_RANGES = (
         # which sample 0's fits a 2-class head but training would fit them all
         ({"kind": "mlp", "d": 10}, r"data of shape \(1, 3, 3\) do not fit model input \(10,\)"),
         ({"kind": "mlp", "num_classes": 2}, "the data hold label 2 but the model has 2 classes"),
-    )])
+    )]
+    # known only once J is built, or checked before any training
+    + [("audit", {**BASE, "perturbations": [{"kind": "singular_direction", "index": 9}]},
+        "singular index 9 out of range for rank 9"),
+       ("audit", {**BASE, "perturbations": []}, "audit needs at least one perturbation")])
 
 
 @pytest.mark.parametrize("command,doc,message", RUN_RANGES,
                          ids=[f"{c}:{json.dumps(d['model'])}:samples={d['samples']}"
+                              + ("" if d["perturbations"] == BASE["perturbations"]
+                                 else f":perturbations={json.dumps(d['perturbations'])}")
                               for c, d, _ in RUN_RANGES])
 def test_out_of_range_run_is_a_config_error(tmp_path, capsys, command, doc, message):
     assert_cli_config_error(tmp_path, capsys, doc, command=command)

@@ -36,7 +36,6 @@ from gradleak.models import (
     initialize_parameters,
     mlp_model,
     one_layer_model,
-    parameter_slots,
 )
 from gradleak import models
 from gradleak.experiments import KERNEL_CHECK_TOL
@@ -164,11 +163,11 @@ def test_kernel_matches_engine(case):
 @given(model_cases(), st.data())
 def test_non_finite_activation_names_the_layer(case, data):
     spec, params, x, y, _ = case
-    slots = parameter_slots(spec)
-    layer, off, _ = slots[data.draw(st.integers(0, len(slots) - 1))]
+    weighted = [(i, step.off) for i, step in enumerate(spec.plan) if step.size]
+    layer, off = weighted[data.draw(st.integers(0, len(weighted) - 1))]
     theta = params.theta.copy()
     theta[off] = np.inf
-    broken = ParameterSet(theta, params.slots)
+    broken = ParameterSet(theta)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(FloatingPointError) as engine_err:
             forward_loss(spec, broken, x, y)
@@ -272,7 +271,7 @@ def test_overflow_squashed_by_sigmoid_still_raises():
     broken = params.with_theta(theta)
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=spec.input_shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        conv0 = theta[:300].reshape(12, 25) @ ad.im2col_data(x, 5, 2, 2)
+        conv0 = theta[:300].reshape(12, 25) @ ad.gather_patches(x, spec.plan[0].geometry)
         assert np.isposinf(conv0).all() and np.isfinite(ad.sigmoid_data(conv0)).all()
         with pytest.raises(FloatingPointError) as engine_err:
             forward_loss(spec, broken, x, 3)

@@ -24,7 +24,7 @@ from gradleak import (
     train_model,
 )
 from gradleak.data import synthetic_samples
-from gradleak.models import BudgetError, ParameterSet, ShapeError, parameter_slots
+from gradleak.models import BudgetError, ParameterSet, ShapeError
 
 
 def frozen_one_layer():
@@ -169,10 +169,14 @@ def test_init_determinism():
 
 
 def test_parameter_slots_cover_theta():
+    # the plan's weighted steps tile theta: each block starts where the last ends
     spec = lenet_variant(image_size=8, channels=3, num_classes=2)
-    slots = parameter_slots(spec)
-    total = sum(int(np.prod(shape)) for _, _, shape in slots)
-    assert total == spec.d_theta
+    end = 0
+    for step in spec.plan:
+        if step.size:
+            assert step.off == end
+            end += step.size
+    assert end == spec.d_theta
 
 
 def test_with_theta_shape_guard():
