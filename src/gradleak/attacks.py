@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dense_spectrum
-from .models import DENSE_BUDGET, MixedJacobianOperator
+from .models import MixedJacobianOperator
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,13 @@ def prune_gradient(g, ratio):
 
 
 def singular_direction_perturbation(operator: MixedJacobianOperator, which, scale=1.0,
-                                    budget=DENSE_BUDGET, spectrum=None):
+                                    spectrum=None):
     """Perturbation along the right singular vector of J with the
     `which`-th largest singular value; lives in parameter space.  Raises
     IndexError unless 0 <= which < rank(J).  `spectrum`, the operator's
-    dense_spectrum if given, saves factorizing J again."""
+    dense_spectrum if given, saves factorizing J again; else its Gram is
+    built, under dense_columns' cap on the Gram's d_x^2 entries."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    rep = spectrum if spectrum is not None else dense_spectrum(operator, budget)
+    rep = spectrum if spectrum is not None else dense_spectrum(operator)
     return scale * rep.right_vector(which), float(rep.singular_values[which])

@@ -160,14 +160,14 @@ def _perturbation(cfg, kind):
     return next((p for p in cfg.perturbations if p.kind == kind), PerturbationConfig(kind))
 
 
-def _realize_perturbation(pert, op, g0, seed, spectrum=None):
-    """Return (delta, description value) for one perturbation spec; a
-    singular direction is taken from `spectrum`, op's dense_spectrum if None."""
+def _realize_perturbation(pert, op, seed, spectrum=None):
+    """Return (delta, description value) for one perturbation spec of op.g_theta;
+    a singular direction is taken from `spectrum`, op's dense_spectrum if None."""
     if pert.kind == "gaussian":
-        _, delta = gaussian_perturbation(g0, pert.variance, seed=seed)
+        _, delta = gaussian_perturbation(op.g_theta, pert.variance, seed=seed)
         return delta, pert.variance
     if pert.kind == "prune":
-        _, delta = prune_gradient(g0, pert.ratio)
+        _, delta = prune_gradient(op.g_theta, pert.ratio)
         return delta, pert.ratio
     try:
         return singular_direction_perturbation(op, pert.index, pert.scale, spectrum=spectrum)
@@ -180,7 +180,7 @@ def _measure(cfg, params, sample, op, jobs, spectrum=None):
     attack seed, dump tag or None): every delta first, so that a bad one stops
     the run unattacked, then one attack of g_0 + delta each, x_star dumped if tagged."""
     x0, out = sample.image.reshape(op.spec.input_shape), []
-    drawn = [_realize_perturbation(pert, op, op.g_theta, seed, spectrum) for pert, seed, *_ in jobs]
+    drawn = [_realize_perturbation(pert, op, seed, spectrum) for pert, seed, *_ in jobs]
     for (_, _, attack_seed, tag), (delta, value) in zip(jobs, drawn):
         res = run_attack(op.spec, params, op.g_theta + delta, sample.label,
                          _attack_config(cfg, attack_seed), x0=x0)

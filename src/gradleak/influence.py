@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .models import DENSE_BUDGET, MixedJacobianOperator, dense_columns
+from .models import MixedJacobianOperator, dense_columns
 
 SOLVER_MODES = ("gradient_descent", "conjugate_gradient", "neumann", "dense")
 
@@ -79,9 +79,10 @@ def _require_vectors(spectrum, what):
 
 
 RANK_THRESHOLD_REL = 1e-10  # eigenvalue below this fraction of the max counts as zero
+LANCZOS_TOL = 1e-9  # Lanczos stops once its residual is at most this fraction of theta
 
 
-def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1e-9, seed=0):
+def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, seed=0):
     """Largest eigenvalue of J J^T: the top Ritz value of a fully
     reorthogonalized Lanczos iteration on v -> J (J^T v).
 
@@ -89,7 +90,7 @@ def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1
     value of the (k+1)-dimensional Krylov space, which holds the k-th power
     iterate, so it is at least that iterate's Rayleigh quotient and never
     above lambda_max.  Converged means the residual ||A y - theta y|| =
-    beta_k |s_k| is at most tol * theta, or the Krylov space is exhausted.
+    beta_k |s_k| is at most LANCZOS_TOL * theta, or the Krylov space ends.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -109,7 +110,7 @@ def lambda_max_power_iteration(operator: MixedJacobianOperator, iters=200, tol=1
         theta, S = np.linalg.eigh(T)
         lam = float(theta[-1])
         trace.append(lam)
-        if b == 0.0 or k == operator.d_x or b * abs(S[-1, -1]) <= tol * lam:
+        if b == 0.0 or k == operator.d_x or b * abs(S[-1, -1]) <= LANCZOS_TOL * lam:
             return lam, k, True, trace
         beta.append(b)
         Q = np.vstack([Q, w / b])
@@ -127,7 +128,7 @@ def _row_norms(a):
 
 
 def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
-              budget=DENSE_BUDGET, spectrum=None, lambda_max=None) -> I2FReport:
+              spectrum=None, lambda_max=None) -> I2FReport:
     """||(J J^T + eps I)^{-1} J delta|| with the configured solver.
 
     delta is a (d_theta,) vector or a (d_theta, k) block; any other shape
@@ -152,7 +153,7 @@ def i2f_exact(operator: MixedJacobianOperator, delta, cfg: SolverConfig,
 
     if cfg.mode == "dense":
         if spectrum is None:
-            spectrum = dense_spectrum(operator, budget)
+            spectrum = dense_spectrum(operator)
         _require_vectors(spectrum, "the dense solver")
         n = spectrum.rank if eps == 0 else operator.d_x
         U, scale = spectrum.U[:, :n], 1.0 / (spectrum.eigenvalues[:n] + eps)
@@ -201,18 +202,18 @@ def _lockstep(step, state, target, max_iters):
     return state[0], max_iters, live.size == 0
 
 
-def _dense_from_operator(operator, budget):
+def _dense_from_operator(operator):
     """Dense J, its rows from VJPs of identity blocks."""
-    return dense_columns(operator.vjp, operator.d_x, operator.d_theta, budget, "dense Jacobian").T
+    return dense_columns(operator.vjp, operator.d_x, operator.d_theta, "dense Jacobian").T
 
 
-def _normal_gram(operator, budget):
+def _normal_gram(operator):
     """The d_x x d_x Gram matrix J J^T without J: its columns lo:hi are the
     normal products J (J^T E) of an identity block E.  Symmetrized once,
     exactly and in place, so that the one triangle eigh reads carries both
     triangles' rounding."""
     G = dense_columns(lambda E: operator.jvp(operator.vjp(E)), operator.d_x, operator.d_x,
-                      budget, "Gram matrix J J^T")
+                      "Gram matrix J J^T")
     G += G.T
     G *= 0.5
     return G
@@ -239,14 +240,13 @@ def i2f_lower_bound(operator: MixedJacobianOperator, delta, seed=0, epsilon=0.0)
     return rep
 
 
-def dense_spectrum(operator: MixedJacobianOperator, budget=DENSE_BUDGET,
-                   vectors=True) -> SpectrumReport:
+def dense_spectrum(operator: MixedJacobianOperator, vectors=True) -> SpectrumReport:
     """The one factorization of J: eigendecomposition of the d_x x d_x
     Gram matrix J J^T, whose eigenvectors are J's left singular vectors.
-    J itself is never formed: budget caps the d_x^2 entries of the Gram.
+    J itself is never formed: dense_columns' cap counts the Gram's d_x^2 entries.
     vectors=False runs eigvalsh on the same Gram and leaves U None, for
     callers that read eigenvalues only."""
-    G = _normal_gram(operator, budget)
+    G = _normal_gram(operator)
     eig, U = np.linalg.eigh(G) if vectors else (np.linalg.eigvalsh(G), None)
     eig, U = np.clip(eig[::-1], 0.0, None), None if U is None else U[:, ::-1]
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)

@@ -526,7 +526,7 @@ def mixed_vjp(spec, params, x, y, b):
 # from 24 columns on, its temporaries pass glibc's mmap threshold and
 # page-fault on every call (90-110k faults), and it takes 0.52-0.65 s.
 DENSE_BLOCK = 8
-# Entries a dense J, or its Gram J J^T, may hold unless the caller passes a budget.
+# Entries a dense J, or its Gram J J^T, may hold; dense_columns alone reads it.
 DENSE_BUDGET = 10_000_000
 
 
@@ -534,29 +534,24 @@ class BudgetError(ValueError):
     pass
 
 
-def check_budget(entries, budget, what):
-    """Raise BudgetError if the dense array `what` needs more than budget entries."""
-    if entries > budget:
-        raise BudgetError(f"{what} needs {entries} entries, budget is {budget}")
-
-
-def materialize_jacobian(spec, params, x, y=None, budget=DENSE_BUDGET, by="rows"):
+def materialize_jacobian(spec, params, x, y=None, by="rows"):
     """Dense J, built row-wise from VJPs (or column-wise from JVPs)."""
     from .influence import _dense_from_operator
 
     op = MixedJacobianOperator(spec, params, x, y)
     if by == "rows":
-        return _dense_from_operator(op, budget)
+        return _dense_from_operator(op)
     if by == "columns":
-        return dense_columns(op.jvp, op.d_theta, op.d_x, budget, "dense Jacobian")
+        return dense_columns(op.jvp, op.d_theta, op.d_x, "dense Jacobian")
     raise ValueError("by must be 'rows' or 'columns'")
 
 
-def dense_columns(product, n, rows, budget, what):
+def dense_columns(product, n, rows, what):
     """The rows x n matrix whose columns lo:hi are product(I[:, lo:hi]),
     DENSE_BLOCK columns of the n x n identity at a time; BudgetError names
-    `what` if it needs more than budget entries."""
-    check_budget(rows * n, budget, what)
+    `what` if it needs more than DENSE_BUDGET entries, read at each call."""
+    if rows * n > DENSE_BUDGET:
+        raise BudgetError(f"{what} needs {rows * n} entries, budget is {DENSE_BUDGET}")
     M = np.empty((rows, n))
     for lo in range(0, n, DENSE_BLOCK):
         hi = min(n, lo + DENSE_BLOCK)

@@ -110,7 +110,7 @@ def test_rows_equal_lone_solves(tmp_path, mode):
                                                               SAMPLES, cfg.seed):
             for pi, pert in enumerate(cfg.perturbations):
                 delta, _ = experiments._realize_perturbation(
-                    pert, op, op.g_theta, job_seed(cfg.seed, epoch, si, pi))
+                    pert, op, job_seed(cfg.seed, epoch, si, pi))
                 lone.append(i2f_exact(op, delta, cfg.solver,
                                       lambda_max=lam[epoch, si]).exact_value)
     assert [r[6] for r in rows] == lone

@@ -316,9 +316,9 @@ def test_singular_direction_index_is_checked_against_rank():
     op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
     pert = PerturbationConfig(kind="singular_direction", index=1, scale=2.0)
     with pytest.raises(ConfigError, match="out of range for rank 1"):
-        experiments._realize_perturbation(pert, op, op.g_theta, 0)
+        experiments._realize_perturbation(pert, op, 0)
     delta, sigma = experiments._realize_perturbation(
-        dataclasses.replace(pert, index=0), op, op.g_theta, 0)
+        dataclasses.replace(pert, index=0), op, 0)
     assert abs(np.linalg.norm(delta) - 2.0) < 1e-12
     assert abs(np.linalg.norm(op.jvp(delta)) - 2.0 * sigma) < 1e-12 * sigma
 

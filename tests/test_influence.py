@@ -30,6 +30,7 @@ from gradleak import (
     linear_dot_model,
     mlp_model,
     one_layer_model,
+    singular_direction_perturbation,
     theorem_bound,
 )
 from gradleak.autodiff import conv_geometry
@@ -172,7 +173,7 @@ def test_damped_lower_bound_ordering_property(make_op, seed, eps):
 
 def test_svd_identity_and_singular_direction_response():
     op = mlp_operator()
-    J = _dense_from_operator(op, 10 ** 7)
+    J = _dense_from_operator(op)
     u, s, vt = np.linalg.svd(J, full_matrices=False)
     rng = np.random.Generator(np.random.PCG64(2))
     delta = rng.normal(size=op.d_theta)
@@ -201,7 +202,7 @@ def test_expected_risk_rejects_singular_spectrum():
 def test_gaussian_expectation_monte_carlo():
     op = mlp_operator()
     closed = expected_gaussian_risk(dense_spectrum(op), 1.0)
-    J = _dense_from_operator(op, 10 ** 7)
+    J = _dense_from_operator(op)
     pinv = np.linalg.pinv(J @ J.T) @ J  # epsilon=0 solve, precomputed
     rng = np.random.Generator(np.random.PCG64(23))
     vals = np.array([np.linalg.norm(pinv @ rng.normal(size=op.d_theta)) ** 2
@@ -303,7 +304,7 @@ def small_stacks(draw):
 @given(small_stacks())
 def test_right_vector_matches_svd_property(op):
     rep = dense_spectrum(op)
-    J, r = _dense_from_operator(op, 10 ** 7), rep.rank
+    J, r = _dense_from_operator(op), rep.rank
     _, s, vt = np.linalg.svd(J, full_matrices=False)  # the independent oracle
     for bad in (r, -1):
         with pytest.raises(IndexError):
@@ -346,8 +347,8 @@ def test_right_vector_sign_convention_property(op):
 @given(small_stacks())
 def test_gram_matches_dense_j_property(op):
     # the Gram built from normal products J (J^T E) is J J^T of the dense J
-    G = _normal_gram(op, 10 ** 7)
-    J = _dense_from_operator(op, 10 ** 7)
+    G = _normal_gram(op)
+    J = _dense_from_operator(op)
     s0 = np.linalg.norm(J, 2)
     assert np.array_equal(G, G.T)
     assert np.abs(G - J @ J.T).max() <= SPECTRAL_TOL * s0 ** 2
@@ -400,17 +401,23 @@ def test_dense_spectrum_never_holds_j():
     assert peak < op.d_x * op.d_theta * 8 / 4
 
 
-def test_budget_counts_the_gram_entries():
+def test_budget_counts_the_gram_entries(monkeypatch):
     # the Gram paths hold d_x^2 entries, not the d_x d_theta of J
     op = mlp_operator()
     budget = op.d_x ** 2
     assert budget < op.d_x * op.d_theta
-    rep = dense_spectrum(op, budget=budget)
+    monkeypatch.setattr("gradleak.models.DENSE_BUDGET", budget)
+    rep = dense_spectrum(op)
     assert rep.rank == op.d_x
     dense = SolverConfig(mode="dense", epsilon=0.5)
-    assert i2f_exact(op, np.ones(op.d_theta), dense, budget=budget).exact_value > 0
-    for call in (lambda: dense_spectrum(op, budget=budget - 1),
-                 lambda: i2f_exact(op, np.ones(op.d_theta), dense, budget=budget - 1)):
+    assert i2f_exact(op, np.ones(op.d_theta), dense).exact_value > 0
+    assert dense_spectrum(op, vectors=False).rank == op.d_x
+    assert singular_direction_perturbation(op, 0)[1] > 0
+    monkeypatch.setattr("gradleak.models.DENSE_BUDGET", budget - 1)
+    for call in (lambda: dense_spectrum(op),
+                 lambda: i2f_exact(op, np.ones(op.d_theta), dense),
+                 lambda: dense_spectrum(op, vectors=False),
+                 lambda: singular_direction_perturbation(op, 0)):
         with pytest.raises(BudgetError, match=f"Gram matrix J J\\^T needs {budget} entries"):
             call()
 
@@ -532,7 +539,7 @@ def test_rank_deficient_modes_agree_on_the_minimum_norm_solution():
     # reach the same minimum-norm solution because their iterates stay in range(J)
     op = rank_one_operator()
     delta = np.array([1.0, -0.3, 0.2])
-    J = _dense_from_operator(op, 10 ** 7)
+    J = _dense_from_operator(op)
     want = np.linalg.pinv(J @ J.T, rcond=1e-10, hermitian=True) @ (J @ delta)
     for mode in SOLVER_MODES:
         rep = i2f_exact(op, delta, SolverConfig(mode=mode, epsilon=0.0, max_iters=2000))

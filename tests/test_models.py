@@ -134,10 +134,11 @@ def test_mixed_jvp_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_materialize_budget_refusal():
+def test_materialize_budget_refusal(monkeypatch):
     spec, params, x = frozen_one_layer()
+    monkeypatch.setattr("gradleak.models.DENSE_BUDGET", 3)
     with pytest.raises(BudgetError, match="4 entries"):
-        materialize_jacobian(spec, params, x, budget=3)
+        materialize_jacobian(spec, params, x)
 
 
 def test_init_scheme_supports():
@@ -209,10 +210,11 @@ def test_trainer_reduces_loss_and_is_deterministic():
     assert np.array_equal(snaps[-1].theta, snaps2[-1].theta)
 
 
-def test_materialize_budget_refusal_by_columns():
+def test_materialize_budget_refusal_by_columns(monkeypatch):
     spec, params, x = frozen_one_layer()
+    monkeypatch.setattr("gradleak.models.DENSE_BUDGET", 3)
     with pytest.raises(BudgetError, match="dense Jacobian needs 4 entries, budget is 3"):
-        materialize_jacobian(spec, params, x, budget=3, by="columns")
+        materialize_jacobian(spec, params, x, by="columns")
 
 
 @pytest.mark.parametrize("loss, extra, message", [
