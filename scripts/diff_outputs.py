@@ -8,9 +8,8 @@ For each file under either tree it prints "byte-identical", or for a CSV
 the largest relative (and absolute) change in each column that moved,
 or for any other file the number of lines that differ.  Relative change
 is |new - old| / |old| over the numeric cells of a column (inf where old
-is 0 and new is not).  A *_timings.txt file holds wall-clock seconds, which
-differ on every run: it prints "wall-clock, not compared" instead.  Exits 0
-when every other file is in both trees and byte-identical, else 1.
+is 0 and new is not).  Exits 0 when every file is in both trees and
+byte-identical, else 1.
 """
 
 import csv
@@ -105,9 +104,6 @@ def main(argv):
         if rel not in new_files or rel not in old_files:
             print(f"{rel}: only in {old_root if rel in old_files else new_root}")
             identical = False
-            continue
-        if rel.endswith("_timings.txt"):
-            print(f"{rel}: wall-clock, not compared")
             continue
         old_path, new_path = os.path.join(old_root, rel), os.path.join(new_root, rel)
         with open(old_path, "rb") as f_old, open(new_path, "rb") as f_new:

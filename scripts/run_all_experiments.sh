@@ -8,7 +8,8 @@
 # OUT_ROOT writes run <name> to OUT_ROOT/<name> (validate's report to
 # OUT_ROOT/validate.txt) instead of the configs' output_dir, and LIMIT
 # passes --limit LIMIT to every run.  The runs use this checkout's src/,
-# so two checkouts run into two OUT_ROOTs compare with `diff -r`.
+# so two checkouts run into two OUT_ROOTs compare with
+# `python3 scripts/diff_outputs.py OUT_A OUT_B`.
 set -e
 cd "$(dirname "$0")/.."
 OUT_ROOT=$1

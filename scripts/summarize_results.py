@@ -58,10 +58,6 @@ def main(argv):
                   if len(means) >= 2 else f"n/a ({len(means)} rows)")
         print(f"fairness: class-mean MSE spread {spread}")
 
-    timings = os.path.join(out, "efficiency", "efficiency_timings.txt")
-    if os.path.exists(timings):
-        print("efficiency:", open(timings).read().strip().replace("\n", ", "))
-
 
 if __name__ == "__main__":
     main(sys.argv)

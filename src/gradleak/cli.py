@@ -28,6 +28,14 @@ def _with_overrides(cfg, args):
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
+def seed(text):
+    """validate's --seed: an integer >= 0 (argparse names this type in its errors)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="gradleak",
                                      description="Gradient-leakage privacy auditing toolkit")
@@ -48,7 +56,7 @@ def build_parser():
         p.add_argument("--limit", type=int, default=None, help="cap the number of samples")
         p.set_defaults(runner=runners[name])
     v = sub.add_parser("validate")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=seed, default=0)
     return parser
 
 
@@ -65,7 +73,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SingularSpectrumError, BudgetError) as e:
+    except (SingularSpectrumError, BudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"wrote results to {cfg.output_dir}")

@@ -99,6 +99,8 @@ class DataConfig:
             raise ConfigError(f"unknown data kind {self.kind!r}")
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.synthetic_kind not in SYNTHETIC_KINDS:
             raise ConfigError(f"unknown synthetic kind {self.synthetic_kind!r}")
         image = self.kind == "synthetic" and self.synthetic_kind != "separable_2class"  # (c, h, w)
@@ -130,6 +132,7 @@ class PerturbationConfig:
             raise ConfigError(f"unknown kind {self.kind!r}")
         for name, ok, want in (("variance", self.variance >= 0, ">= 0"),
                                ("ratio", 0 <= self.ratio <= 1, "in [0, 1]"),
+                               ("index", self.index >= 0, ">= 0"),
                                ("scale", self.scale >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"out-of-range values: {name} must be {want}, got {getattr(self, name)}")
@@ -167,6 +170,8 @@ class ExperimentConfig:
         for name in ("samples", "repetitions", "eigen_directions"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for kind in self.init_schemes:
             InitScheme(kind)
 

@@ -6,7 +6,7 @@ run's first file.  The four attack runners (audit, eigen-defense, fairness,
 init-compare) draw each delta and attack g_0 + delta on one path, `_measure`,
 under seeds of their own.  `_write` writes each order-stable CSV under the
 config hash and seed lines; runners return the rows they wrote and may dump
-PGM images.  Timings stay out of the CSVs, so reruns are byte-identical.
+PGM images.  Timings go to stderr, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -313,8 +314,8 @@ EFFICIENCY_LEARNING_RATES = (1.0, 0.5, 0.1, 0.05, 0.01)
 def run_efficiency(cfg: ExperimentConfig):
     """Lanczos Ritz-value traces of lambda_max vs. attack-loss traces.
 
-    Iteration traces go into the CSV (deterministic); wall-clock numbers
-    go into a sidecar timings file, which reruns may legitimately change.
+    Iteration traces go into the CSVs (deterministic); wall-clock numbers,
+    which change on every rerun, go to stderr as one line.
     """
     spec, dataset = _start(cfg)
     params = initialize_parameters(spec, cfg.init)
@@ -342,10 +343,9 @@ def run_efficiency(cfg: ExperimentConfig):
            attack_rows)
 
     ratio = attack_time / metric_time if metric_time > 0 else float("inf")
-    with open(_output_path(cfg, "efficiency_timings.txt"), "w") as f:
-        f.write(f"power_iteration_max_seconds={metric_time:.6f}\n")
-        f.write(f"attack_min_seconds={attack_time:.6f}\n")
-        f.write(f"time_ratio_attack_over_metric={ratio:.6f}\n")
+    print(f"efficiency: power_iteration_max_seconds={metric_time:.6f} "
+          f"attack_min_seconds={attack_time:.6f} time_ratio_attack_over_metric={ratio:.6f}",
+          file=sys.stderr)
     return power_rows, attack_rows, ratio
 
 
@@ -362,13 +362,11 @@ def run_spectrum(cfg: ExperimentConfig):
 
 
 def _dump_pair(cfg, tag, sample, x_star):
-    """PGM dumps of a sample's image and its recovery x_star, in the image's
-    shape (a vector, or an array of four or more axes, as one row);
-    single-channel images only."""
+    """PGM dumps of a sample's image and its recovery x_star: an image's
+    channels stacked from top to bottom, and a vector, or an array of four
+    or more axes, as one row."""
     x0 = np.asarray(sample.image, dtype=np.float64)
-    if x0.ndim == 3 and x0.shape[0] != 1:
-        return
-    shape = x0.shape if x0.ndim in (2, 3) else (1, -1)
+    shape = (-1, x0.shape[-1]) if x0.ndim in (2, 3) else (1, -1)
     for name, image in (("original", x0), ("recovered", x_star)):
         write_pgm(np.clip(np.reshape(image, shape), 0.0, 1.0),
                   _output_path(cfg, f"{tag}_{name}.pgm"))

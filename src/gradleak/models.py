@@ -116,6 +116,8 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "kaiming", "xavier"):
             raise ValueError(f"unknown init scheme {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:

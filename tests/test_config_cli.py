@@ -154,6 +154,14 @@ def test_cli_validate_passes(capsys):
     assert all(("error=" in l and "tolerance=" in l) for l in out.splitlines() if l)
 
 
+def test_cli_validate_negative_seed_exit_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["validate", "--seed", "-1"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("argument --seed: seed must be >= 0, got -1\n"), err
+
+
 def test_validate_mutation_detected():
     # a sign flip in the transpose product must break the adjoint check
     ok, lines = experiments.run_validate(seed=0, perturb_vjp=lambda v: -v)
@@ -236,27 +244,17 @@ def test_spectrum_runner(tmp_path):
     assert all(abs(r[2] - 1.0) < 1e-9 for r in rows)  # identity Jacobian
 
 
-def test_efficiency_sidecar(tmp_path):
+def test_efficiency_prints_its_seconds_on_stderr(tmp_path, capsys):
     doc = base_doc(str(tmp_path / "out"), attack={"kind": "dgl", "iterations": 20})
     experiments.run_efficiency(load_config(write_doc(tmp_path, doc)))
-    out = tmp_path / "out"
-    txt = open(out / "efficiency_timings.txt").read()
-    assert "time_ratio_attack_over_metric=" in txt
-    for name in ("efficiency_power_iteration.csv", "efficiency_attack.csv"):
-        assert (out / name).exists()
-
-
-def test_rerun_byte_identical(tmp_path):
-    doc = base_doc(str(tmp_path / "out"), samples=2, dump_images=True,
-                   attack={"kind": "dgl", "iterations": 60})
-    cfg = load_config(write_doc(tmp_path, doc))
-    experiments.run_audit(cfg)
-    first = {f: open(tmp_path / "out" / f, "rb").read()
-             for f in os.listdir(tmp_path / "out")}
-    experiments.run_audit(cfg)
-    second = {f: open(tmp_path / "out" / f, "rb").read()
-              for f in os.listdir(tmp_path / "out")}
-    assert first == second and any(f.endswith(".csv") for f in first)
+    err = capsys.readouterr().err
+    head, *figures = err.split(" ")
+    assert head == "efficiency:" and err.endswith("\n") and err.count("\n") == 1, err
+    assert [f.partition("=")[0] for f in figures] == [
+        "power_iteration_max_seconds", "attack_min_seconds", "time_ratio_attack_over_metric"]
+    assert all(float(f.partition("=")[2]) >= 0 for f in figures)
+    assert sorted(os.listdir(tmp_path / "out")) == ["efficiency_attack.csv",
+                                                    "efficiency_power_iteration.csv"]
 
 
 ATTACK_RUNNERS = {
@@ -268,6 +266,27 @@ ATTACK_RUNNERS = {
                      {"samples": 1, "repetitions": 1, "init_schemes": ["uniform", "xavier"]}),
     "efficiency": (experiments.run_efficiency, {}),
 }
+
+
+RUNNERS = {"audit": (experiments.run_audit, {}), **ATTACK_RUNNERS,
+           "spectrum": (experiments.run_spectrum, {})}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_rerun_byte_identical(tmp_path, name):
+    # every file of the output directory, PGM dumps included, comes out
+    # the same; the rerun writes into the same directory, which the config
+    # hash names
+    run, over = RUNNERS[name]
+    out = tmp_path / "out"
+    doc = base_doc(str(out), dump_images=True, attack={"kind": "dgl", "iterations": 60}, **over)
+    cfg = load_config(write_doc(tmp_path, doc))
+    runs = []
+    for tag in ("first", "second"):
+        run(cfg)
+        runs.append({f: (out / f).read_bytes() for f in os.listdir(out)})
+        out.rename(tmp_path / tag)
+    assert runs[0] == runs[1] and any(f.endswith(".csv") for f in runs[0])
 
 
 def csv_data(out_dir):
@@ -364,6 +383,13 @@ def test_cli_singular_spectrum_exit_1(tmp_path, capsys, runner, message):
     assert "Traceback" not in err and "epsilon" not in err
 
 
+def test_cli_output_dir_that_is_a_file_exit_1(tmp_path, capsys):
+    (tmp_path / "out").write_text("")
+    assert main(["spectrum", "--config", write_doc(tmp_path, base_doc(str(tmp_path / "out")))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("runner", ["spectrum", "eigen-defense", "init-compare"])
 def test_cli_gram_over_budget_exit_1(tmp_path, capsys, runner):
     # d_x = 3163: the Gram J J^T holds 10,004,569 entries, over the 10M budget
@@ -418,6 +444,17 @@ def test_zero_jacobian_audit_is_one_row_in_every_mode(tmp_path):
     (row,) = csv.DictReader(body.splitlines())
     assert [float(row[k]) for k in ("i2f_exact", "i2f_lower_bound", "lambda_max")] == [0.0] * 3
     assert all(math.isfinite(float(v)) for k, v in row.items() if not k.endswith("_kind"))
+
+
+def test_dump_stacks_the_channels(tmp_path):
+    data = {"kind": "synthetic", "synthetic_kind": "gaussian_blobs", "shape": [3, 4, 4],
+            "count": 2, "seed": 1, "num_classes": 3}
+    doc = base_doc(str(tmp_path / "out"), data=data, samples=1, dump_images=True,
+                   model={"kind": "linear"}, attack={"kind": "dgl", "iterations": 5})
+    assert main(["audit", "--config", write_doc(tmp_path, doc)]) == 0
+    for name in ("original", "recovered"):
+        with open(tmp_path / "out" / f"audit_e0_s0_p0_{name}.pgm", "rb") as f:
+            assert f.read().startswith(b"P5\n4 12\n255\n")
 
 
 def test_dump_of_a_four_axis_sample_is_one_row(tmp_path):

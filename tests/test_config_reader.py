@@ -141,6 +141,10 @@ KINDS_AND_RANGES = [
     (("perturbations", 0, "variance"), -0.5, "out-of-range values: variance must be >= 0, got -0.5"),
     (("perturbations", 0, "ratio"), 1.5, r"out-of-range values: ratio must be in \[0, 1\], got 1.5"),
     (("perturbations", 0, "scale"), -2.0, "out-of-range values: scale must be >= 0, got -2.0"),
+    (("perturbations", 0, "index"), -1, "out-of-range values: index must be >= 0, got -1"),
+    (("seed",), -1, "config: seed must be >= 0, got -1"),
+    (("data", "seed"), -1, "data: seed must be >= 0, got -1"),
+    (("init", "seed"), -1, "init: seed must be >= 0, got -1"),
 ]
 
 

@@ -41,12 +41,3 @@ def test_reports_identical_files_and_moved_columns(tmp_path, diff_outputs, capsy
     assert out[out.index("validate.txt:") + 1] == "  1 of 2 lines differ"
     assert diff_outputs.main(["diff_outputs.py", str(old), str(old)]) == 0
 
-
-def test_timings_files_are_listed_but_not_compared(tmp_path, diff_outputs, capsys):
-    old, new = tmp_path / "old", tmp_path / "new"
-    for root, seconds in ((old, "0.41"), (new, "0.52")):
-        write(root, "run/x_timings.txt", f"gram_s {seconds}\n")
-        write(root, "run/x.csv", "a,b\n1,2\n")
-    assert diff_outputs.main(["diff_outputs.py", str(old), str(new)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out == ["run/x.csv: byte-identical", "run/x_timings.txt: wall-clock, not compared"]
