@@ -18,14 +18,16 @@ from . import experiments
 
 
 def _with_overrides(cfg, args):
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.out is not None:
-        changes["output_dir"] = args.out
-    if args.limit is not None:
-        changes["samples"] = min(args.limit, cfg.samples)
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+    """cfg with each flag given; a value ExperimentConfig rejects names its flag."""
+    limit = None if args.limit is None else min(args.limit, cfg.samples)
+    for flag, key, value in (("--seed", "seed", args.seed), ("--out", "output_dir", args.out),
+                             ("--limit", "samples", limit)):
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(cfg, **{key: value})
+            except ConfigError as e:
+                raise ConfigError(f"{flag}: {e}") from e
+    return cfg
 
 
 def seed(text):

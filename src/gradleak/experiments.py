@@ -1,12 +1,12 @@
 """Desk-scale experiment suite behind the CLI.
 
-Each runner is a pure function of (config, seed).  `_start` fits its model
-and data to each other; `_output_path` makes the output directory with a
-run's first file.  The four attack runners (audit, eigen-defense, fairness,
-init-compare) draw each delta and attack g_0 + delta on one path, `_measure`,
-under seeds of their own.  `_write` writes each order-stable CSV under the
-config hash and seed lines; runners return the rows they wrote and may dump
-PGM images.  Timings go to stderr, so reruns are byte-identical.
+Each runner is a pure function of (config, seed).  `_start` checks the output path
+and fits model and data to each other; `_output_path` makes the directory with a run's
+first file.  `_sample_operators` yields each sample's operator, the one record of its
+(theta, x, y); the four attack runners (audit, eigen-defense, fairness, init-compare)
+draw each delta and attack g_0 + delta from it on one path, `_measure`, under seeds of
+their own.  `_write` writes each order-stable CSV under the config hash and seed lines;
+runners return their rows and may dump PGMs; timings go to stderr, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ def _start(cfg: ExperimentConfig):
     """(spec, dataset) of every runner, checked once to fit each other: an
     unreadable IDX file, fewer than cfg.samples samples, images of another
     size than the model input, or a label beyond a cross-entropy head is a
-    ConfigError."""
+    ConfigError.  An output directory that cannot be made fails first."""
+    if not cfg.output_dir or (os.path.lexists(cfg.output_dir) and not os.path.isdir(cfg.output_dir)):
+        raise NotADirectoryError(f"output directory {cfg.output_dir!r} is not a directory")
     spec = build_model_from_config(cfg)
     try:
         dataset = load_dataset(cfg)
@@ -121,28 +123,27 @@ def _attack_config(cfg, seed, **overrides):
 KERNEL_CHECK_TOL = 1e-6
 
 
-def _check_kernel(op, params, x, y, seed):
+def _check_kernel(op, seed):
     """Compare one J @ delta of the graph-free kernel with the autodiff
-    engine's graph-built product, so that every run keeps an independent
-    route through the layer rules of the model it audits."""
+    engine's graph-built product at op's own point, so that every run keeps
+    an independent route through the layer rules of the model it audits."""
     delta = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_theta)
-    ref = zoo.engine_oracle(op.spec, params, x, y, "jvp", delta)
+    ref = zoo.engine_oracle(op.spec, op.params, op.x, op.y, "jvp", delta)
     err = np.abs(op.jvp(delta) - ref).max() / max(np.abs(ref).max(), 1e-300)
     if not err <= KERNEL_CHECK_TOL:
         raise RuntimeError(f"mixed-Jacobian kernel disagrees with the autodiff engine: "
                            f"relative error {err:.3e} > {KERNEL_CHECK_TOL:.0e}")
 
 
-def _sample_operators(spec, params, dataset, n, seed):
-    """(index, sample, x, y, operator) for the first n samples; the first
-    operator is checked against the engine."""
-    for si in range(n):
-        sample = dataset[si]
-        x, y = sample.image.reshape(spec.input_shape), sample.label  # a loss without labels ignores y
-        op = MixedJacobianOperator(spec, params, x, y)
+def _sample_operators(cfg, spec, params, dataset):
+    """(index, sample, operator at that sample) for cfg.samples samples; the
+    first operator is checked against the engine under cfg.seed."""
+    for si in range(cfg.samples):
+        sample = dataset[si]  # a loss without labels ignores the label
+        op = MixedJacobianOperator(spec, params, sample.image.reshape(spec.input_shape), sample.label)
         if si == 0:
-            _check_kernel(op, params, x, y, seed)
-        yield si, sample, x, y, op
+            _check_kernel(op, cfg.seed)
+        yield si, sample, op
 
 
 def _parameter_epochs(cfg, spec, dataset):
@@ -176,15 +177,15 @@ def _realize_perturbation(pert, op, seed, spectrum=None):
         raise ConfigError(str(e)) from e
 
 
-def _measure(cfg, params, sample, op, jobs, spectrum=None):
-    """(delta, description value, AttackResult) per job (pert, delta seed,
-    attack seed, dump tag or None): every delta first, so that a bad one stops
-    the run unattacked, then one attack of g_0 + delta each, x_star dumped if tagged."""
-    x0, out = sample.image.reshape(op.spec.input_shape), []
-    drawn = [_realize_perturbation(pert, op, seed, spectrum) for pert, seed, *_ in jobs]
+def _measure(cfg, sample, op, jobs, spectrum=None):
+    """(delta, description value, AttackResult) per job (pert, delta seed, attack
+    seed, dump tag or None): every delta first, so that a bad one stops the run
+    unattacked, then one attack of g_0 + delta each from op's theta and label,
+    scored against op.x; `sample` is read only to dump x_star if tagged."""
+    out, drawn = [], [_realize_perturbation(pert, op, seed, spectrum) for pert, seed, *_ in jobs]
     for (_, _, attack_seed, tag), (delta, value) in zip(jobs, drawn):
-        res = run_attack(op.spec, params, op.g_theta + delta, sample.label,
-                         _attack_config(cfg, attack_seed), x0=x0)
+        res = run_attack(op.spec, op.params, op.g_theta + delta, op.y,
+                         _attack_config(cfg, attack_seed), x0=op.x)
         if tag and cfg.dump_images:
             _dump_pair(cfg, tag, sample, res.x_star)
         out.append((delta, value, res))
@@ -205,9 +206,9 @@ def run_audit(cfg: ExperimentConfig):
     rows = []
     needs_spectrum = any(p.kind == "singular_direction" for p in cfg.perturbations)
     for epoch, params in _parameter_epochs(cfg, spec, dataset):
-        for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+        for si, sample, op in _sample_operators(cfg, spec, params, dataset):
             spectrum = dense_spectrum(op) if needs_spectrum else None
-            measured = _measure(cfg, params, sample, op, [
+            measured = _measure(cfg, sample, op, [
                 (pert, job_seed(cfg.seed, epoch, si, pi), job_seed(cfg.seed, epoch, si, pi, 1),
                  f"audit_e{epoch}_s{si}_p{pi}") for pi, pert in enumerate(cfg.perturbations)], spectrum)
             D = np.stack([delta for delta, _, _ in measured], axis=1)
@@ -230,14 +231,14 @@ def run_eigen_defense(cfg: ExperimentConfig):
               "delta_norm", "attack_l2", "attack_mse"]
     rows = []
     params = initialize_parameters(spec, cfg.init)
-    for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+    for si, sample, op in _sample_operators(cfg, spec, params, dataset):
         rep = dense_spectrum(op)
         if rep.rank == 0:
             raise SingularSpectrumError(f"J has rank 0 at sample {si}: "
                                         "no singular direction to perturb along")
         s = rep.singular_values
         rungs = sorted(set(int(i) for i in np.round(np.linspace(0, rep.rank - 1, cfg.eigen_directions))))
-        measured = _measure(cfg, params, sample, op, [
+        measured = _measure(cfg, sample, op, [
             (dataclasses.replace(pert, index=di), None, job_seed(cfg.seed, si, di),
              f"eigen_s{si}_d{di}") for di in rungs], rep)
         rows += [[si, di, float(s[di]), float(s[di] ** 2), float(1.0 / s[di]), float(1.0 / s[di] ** 2),
@@ -256,8 +257,8 @@ def run_fairness(cfg: ExperimentConfig):
                      "attack_l2", "attack_mse"]
     rows = []
     results = []
-    for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
-        [(delta, _, res)] = _measure(cfg, params, sample, op,
+    for si, sample, op in _sample_operators(cfg, spec, params, dataset):
+        [(delta, _, res)] = _measure(cfg, sample, op,
                                      [(pert, job_seed(cfg.seed, si), job_seed(cfg.seed, si, 2), None)])
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1),
                              epsilon=cfg.solver.epsilon)
@@ -290,7 +291,7 @@ def run_init_compare(cfg: ExperimentConfig):
     rows = []
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
         params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
-        for si, sample, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+        for si, sample, op in _sample_operators(cfg, spec, params, dataset):
             spectrum = dense_spectrum(op, vectors=False)
             try:
                 exp_risk = expected_gaussian_risk(spectrum, pert.variance, cfg.solver.epsilon)
@@ -299,7 +300,7 @@ def run_init_compare(cfg: ExperimentConfig):
                     f"J has rank {spectrum.rank} < d_x = {op.d_x} under init scheme "
                     f"{scheme_kind!r} at sample {si}: the expected risk needs a "
                     "full-rank J") from e
-            measured = _measure(cfg, params, sample, op, [
+            measured = _measure(cfg, sample, op, [
                 (pert, job_seed(cfg.seed, scheme_idx, si, rep),
                  job_seed(cfg.seed, scheme_idx, si, rep, 1), None) for rep in range(cfg.repetitions)])
             rows += [[scheme_kind, si, rep, pert.variance, exp_risk, res.l2, res.rmse ** 2]
@@ -319,7 +320,7 @@ def run_efficiency(cfg: ExperimentConfig):
     """
     spec, dataset = _start(cfg)
     params = initialize_parameters(spec, cfg.init)
-    _, _, x0, y, op = next(_sample_operators(spec, params, dataset, 1, cfg.seed))
+    _, _, op = next(_sample_operators(cfg, spec, params, dataset))
     power_rows = []
     metric_time = 0.0
     for s in range(EFFICIENCY_SEEDS):
@@ -336,7 +337,7 @@ def run_efficiency(cfg: ExperimentConfig):
         for s in range(EFFICIENCY_SEEDS):
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, s, int(lr * 1000)), learning_rate=lr)
             t0 = time.perf_counter()
-            res = run_attack(spec, params, op.g_theta, y, atk_cfg, x0=x0)
+            res = run_attack(spec, op.params, op.g_theta, op.y, atk_cfg, x0=op.x)
             attack_time = min(attack_time, time.perf_counter() - t0)
             attack_rows += [[lr, s, i, v] for i, v in enumerate(res.loss_trace)]
     _write(cfg, "efficiency_attack.csv", ["learning_rate", "seed", "iteration", "inversion_loss"],
@@ -353,7 +354,7 @@ def run_spectrum(cfg: ExperimentConfig):
     spec, dataset = _start(cfg)
     params = initialize_parameters(spec, cfg.init)
     rows = []
-    for si, _, _, _, op in _sample_operators(spec, params, dataset, cfg.samples, cfg.seed):
+    for si, _, op in _sample_operators(cfg, spec, params, dataset):
         rep = dense_spectrum(op, vectors=False)
         rows += [[si, i, float(lam), float(sig)]
                  for i, (lam, sig) in enumerate(zip(rep.eigenvalues, rep.singular_values))]
@@ -396,29 +397,29 @@ def run_validate(seed=0, perturb_vjp=None):
         params = initialize_parameters(spec, InitScheme("xavier", seed + 7))
         x = rng.uniform(0, 1, spec.input_shape)
         y = 1 if spec.loss == "cross_entropy" else None
-        cases.append((name, spec, params, x, y, MixedJacobianOperator(spec, params, x, y)))
+        cases.append((name, MixedJacobianOperator(spec, params, x, y)))
 
     # gradients vs. central finite differences
-    for name, spec, params, x, y, _ in cases:
-        g = zoo.gradients(spec, params, x, y)
-        fd = zoo.finite_difference_oracle(spec, params, x, y, "grad_theta")
+    for name, op in cases:
+        g = zoo.gradients(op.spec, op.params, op.x, op.y)
+        fd = zoo.finite_difference_oracle(op.spec, op.params, op.x, op.y, "grad_theta")
         scale = max(np.abs(fd).max(), 1e-12)
         record(f"finite_difference_grad_theta[{name}]", np.abs(g.g_theta - fd).max() / scale, 1e-6)
 
     # mixed JVP vs. finite differences of gradients
-    for name, spec, params, x, y, _ in cases:
-        delta = rng.normal(size=spec.d_theta)
-        jv = zoo.mixed_jvp(spec, params, x, y, delta)
-        fd = zoo.finite_difference_oracle(spec, params, x, y, "jvp", delta=delta)
+    for name, op in cases:
+        delta = rng.normal(size=op.d_theta)
+        jv = zoo.mixed_jvp(op.spec, op.params, op.x, op.y, delta)
+        fd = zoo.finite_difference_oracle(op.spec, op.params, op.x, op.y, "jvp", delta=delta)
         scale = max(np.abs(fd).max(), 1e-12)
         record(f"finite_difference_mixed_jvp[{name}]", np.abs(jv - fd).max() / scale, 1e-5)
 
     # adjoint identity <J d, b> == <d, J^T b>
-    for name, spec, params, x, y, op in cases:
+    for name, op in cases:
         worst = 0.0
         for _ in range(20):
-            d = rng.normal(size=spec.d_theta)
-            b = rng.normal(size=spec.d_x)
+            d = rng.normal(size=op.d_theta)
+            b = rng.normal(size=op.d_x)
             jd_b = float(op.jvp(d) @ b)
             vj = op.vjp(b)
             if perturb_vjp is not None:
@@ -427,8 +428,8 @@ def run_validate(seed=0, perturb_vjp=None):
         record(f"adjoint_identity[{name}]", worst, 1e-9)
 
     # dense vs. matrix-free solvers at eps = 1
-    name, spec, params, x, y, op = cases[2]
-    delta = rng.normal(size=spec.d_theta)
+    name, op = cases[2]
+    delta = rng.normal(size=op.d_theta)
     ref = i2f_exact(op, delta, SolverConfig(mode="dense", epsilon=1.0)).exact_value
     for mode in ("gradient_descent", "conjugate_gradient", "neumann"):
         val = i2f_exact(op, delta, SolverConfig(mode=mode, epsilon=1.0, max_iters=2000)).exact_value
@@ -438,22 +439,22 @@ def run_validate(seed=0, perturb_vjp=None):
     mlp_op, spectrum = op, dense_spectrum(op)
     closed = expected_gaussian_risk(spectrum, 1.0)
     cg = SolverConfig(mode="conjugate_gradient", epsilon=0.0, max_iters=2000)
-    draws = rng.normal(size=(300, spec.d_theta))  # row i is the i-th draw of a loop
+    draws = rng.normal(size=(300, op.d_theta))  # row i is the i-th draw of a loop
     vals = i2f_exact(op, draws.T, cg).exact_value ** 2
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     record("gaussian_expectation_monte_carlo", abs(vals.mean() - closed), 3 * se)
 
     # the Lipschitz bound is exact on the linear model
-    name, spec, params, x, y, op = cases[0]
-    d = rng.normal(size=spec.d_theta)
+    name, op = cases[0]
+    d = rng.normal(size=op.d_theta)
     bound = theorem_bound(1.0, 1.0, 0.0, op.g_theta, d, np.linalg.norm(op.jvp(d)))
     record("certified_bound_linear_exact", abs(bound - np.linalg.norm(d)), 1e-9)
 
     # graph-free kernel vs. the autodiff engine's graph-built products
-    for name, spec, params, x, y, op in cases:
-        for what, product, size in (("jvp", op.jvp, spec.d_theta), ("vjp", op.vjp, spec.d_x)):
+    for name, op in cases:
+        for what, product, size in (("jvp", op.jvp, op.d_theta), ("vjp", op.vjp, op.d_x)):
             v = rng.normal(size=size)
-            ref = zoo.engine_oracle(spec, params, x, y, what, v)
+            ref = zoo.engine_oracle(op.spec, op.params, op.x, op.y, what, v)
             scale = max(np.abs(ref).max(), 1e-12)
             record(f"engine_oracle_mixed_{what}[{name}]", np.abs(product(v) - ref).max() / scale, 1e-10)
 

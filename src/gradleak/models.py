@@ -211,7 +211,8 @@ def gradients(spec: ModelSpec, params: ParameterSet, x, y=None) -> GradientBundl
 
 
 class MixedJacobianOperator:
-    """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta).
+    """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta), at the one point
+    it keeps as it was given: `spec`, `params`, `y` and the checked float64 `x`.
 
     Graph-free forward-over-reverse (Pearlmutter's R-operator): the
     constructor runs the layer plan that ModelSpec compiled, one forward
@@ -227,8 +228,8 @@ class MixedJacobianOperator:
     """
 
     def __init__(self, spec: ModelSpec, params: ParameterSet, x, y=None):
-        self.spec = spec
-        x = _check_sample(spec, x)
+        self.spec, self.params, self.y = spec, params, y
+        self.x = x = _check_sample(spec, x)
         self.d_x, self.d_theta = spec.d_x, spec.d_theta
         plan, self._kept = spec.plan, []
         h = x

@@ -106,8 +106,7 @@ def test_rows_equal_lone_solves(tmp_path, mode):
     lam = {(r[1], r[0]): r[8] for r in rows}  # the lambda_max each row's solve read
     lone = []
     for epoch, params in experiments._parameter_epochs(cfg, spec, dataset):
-        for si, _, _, _, op in experiments._sample_operators(spec, params, dataset,
-                                                              SAMPLES, cfg.seed):
+        for si, _, op in experiments._sample_operators(cfg, spec, params, dataset):
             for pi, pert in enumerate(cfg.perturbations):
                 delta, _ = experiments._realize_perturbation(
                     pert, op, job_seed(cfg.seed, epoch, si, pi))

@@ -15,7 +15,7 @@ import pytest
 
 from gradleak.cli import main
 from gradleak.config import ConfigError, PerturbationConfig, job_seed, load_config, parse_config
-from gradleak import experiments
+from gradleak import experiments, influence
 from gradleak.attacks import run_attack
 from gradleak.data import Dataset, Sample, write_idx
 from gradleak.influence import SOLVER_MODES, SingularSpectrumError
@@ -388,6 +388,20 @@ def test_cli_output_dir_that_is_a_file_exit_1(tmp_path, capsys):
     assert main(["spectrum", "--config", write_doc(tmp_path, base_doc(str(tmp_path / "out")))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("out", ["file", ""])
+def test_unusable_output_dir_fails_before_any_gram(tmp_path, capsys, monkeypatch, out):
+    # a file, or no path at all, where the output directory should go: the
+    # run stops in _start, before it builds a single Gram J J^T
+    grams = []
+    monkeypatch.setattr(influence, "_normal_gram", lambda *a, **k: grams.append(a))
+    target = tmp_path / "out"
+    target.write_text("kept\n")
+    path = str(target) if out == "file" else ""
+    assert main(["spectrum", "--config", write_doc(tmp_path, base_doc(path))]) == 1
+    assert capsys.readouterr().err == f"error: output directory {path!r} is not a directory\n"
+    assert grams == [] and target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("runner", ["spectrum", "eigen-defense", "init-compare"])

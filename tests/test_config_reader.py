@@ -53,6 +53,7 @@ def assert_cli_config_error(tmp_path, capsys, doc, *argv, command="audit"):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    return err
 
 
 # (path, a value of the wrong JSON type): every annotation the reader types
@@ -206,6 +207,15 @@ def test_init_scheme_rejects_unknown_kind():
 
 def test_limit_goes_through_the_samples_check(tmp_path, capsys):
     assert_cli_config_error(tmp_path, capsys, BASE, "--limit", "0")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--limit", "0", "samples must be >= 1, got 0"),
+    ("--limit", "-3", "samples must be >= 1, got -3"),
+    ("--seed", "-5", "seed must be >= 0, got -5")])
+def test_override_range_error_names_the_flag(tmp_path, capsys, flag, value, message):
+    err = assert_cli_config_error(tmp_path, capsys, BASE, flag, value)
+    assert err == f"config error: {flag}: {message}\n"
 
 
 def test_minimal_config_takes_the_dataclass_defaults():

@@ -310,3 +310,24 @@ def test_plan_is_compiled_once_and_shared_without_state(monkeypatch):
         ref = engine_oracle(spec, params, x, 2, "grad_x")
         assert np.abs(op.g_x - ref).max() <= KERNEL_CHECK_TOL * np.abs(ref).max()
     assert len(compiled) == len(spec.layers)
+
+
+@pytest.mark.parametrize("spec,x", [
+    # a float32 list becomes the checked float64 array; a float64 array in
+    # input shape is kept as it is, not copied
+    (mlp_model(6, 5, 3), np.linspace(0.0, 1.0, 6, dtype=np.float32).tolist()),
+    (lenet_variant(image_size=8, channels=2, num_classes=3),
+     np.random.default_rng(3).uniform(0.0, 1.0, size=(1, 8, 8)))], ids=["mlp", "lenet"])
+def test_operator_keeps_its_point(spec, x):
+    params = initialize_parameters(spec, InitScheme("xavier", 2))
+    op = MixedJacobianOperator(spec, params, x, 2)
+    checked = models._check_sample(spec, x)
+    assert op.spec is spec and op.params is params and op.y == 2
+    assert op.x.dtype == np.float64 and op.x.shape == spec.input_shape
+    assert np.array_equal(op.x, checked) and (op.x is x) == isinstance(x, np.ndarray)
+    # the kept point alone rebuilds the same operator, bit for bit
+    again = MixedJacobianOperator(op.spec, op.params, op.x, op.y)
+    rng = np.random.default_rng(4)
+    d, b = rng.normal(size=spec.d_theta), rng.normal(size=spec.d_x)
+    assert np.array_equal(again.g_theta, op.g_theta)
+    assert np.array_equal(again.jvp(d), op.jvp(d)) and np.array_equal(again.vjp(b), op.vjp(b))
