@@ -222,7 +222,7 @@ def conv_geometry(in_shape, kernel, stride, padding):
     Rows index (channel, ki, kj) and columns output positions.  Indices
     point into the flattened image with one zero appended: every position
     in the padding border maps to that zero slot, index C*H*W.
-    Returns (indices, C*H*W, (out_h, out_w)).
+    Returns (indices, (C, H, W), (out_h, out_w)): the image shape it maps.
     """
     key = (in_shape, kernel, stride, padding)
     geom = _GEOM_CACHE.get(key)
@@ -238,7 +238,7 @@ def conv_geometry(in_shape, kernel, stride, padding):
         jj = kj.reshape(-1, 1) + (oj * stride).reshape(1, -1) - padding
         inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
         idx = np.where(inside, ci.reshape(-1, 1) * (h * w) + ii * w + jj, c * h * w)
-        geom = (idx, c * h * w, (oh, ow))
+        geom = (idx, (c, h, w), (oh, ow))
         _GEOM_CACHE[key] = geom
     return geom
 
@@ -247,22 +247,22 @@ def gather_patches(x, geometry):
     """Patch columns of a (C,H,W) array, or of each image of a (k,C,H,W)
     stack, given the conv_geometry of its image shape: the gather both
     autodiff and the graph-free kernel use."""
-    idx, size, _ = geometry
+    idx = geometry[0]
     lead = x.shape[:-3]
-    flat = np.concatenate((x.reshape(lead + (size,)), np.zeros(lead + (1,))), axis=-1)
+    flat = np.concatenate((x.reshape(lead + (-1,)), np.zeros(lead + (1,))), axis=-1)
     return flat.take(idx, axis=-1)
 
 
-def scatter_patches(cols, geometry, in_shape):
+def scatter_patches(cols, geometry):
     """Adjoint of gather_patches: scatter-add patch columns back to the
-    (C,H,W) tuple `in_shape` whose conv_geometry is `geometry`, or each of
-    a (k, rows, positions) stack back to (k,C,H,W).
+    (C,H,W) image shape that `geometry` records, or each of a
+    (k, rows, positions) stack back to (k,C,H,W).
 
     bincount adds the weights of each bin in index order, as np.add.at
     does, so the sums are the same bit for bit; each image of a stack is
     its own bincount on the shared index, filled in a lone image's order."""
-    idx, size, _ = geometry
-    lead = cols.shape[:-2]
+    idx, in_shape, _ = geometry
+    size, lead = math.prod(in_shape), cols.shape[:-2]
     idx, cols = idx.reshape(-1), cols.reshape((math.prod(lead), -1))
     out = np.empty((len(cols), size))
     for image, weights in zip(out, cols):
@@ -272,13 +272,13 @@ def scatter_patches(cols, geometry, in_shape):
 
 def im2col(x, geometry):
     x = as_var(x)
-    in_shape = x.data.shape
-    return Var(gather_patches(x.data, geometry), (x,), lambda g: (col2im(g, geometry, in_shape),))
+    return Var(gather_patches(x.data, geometry), (x,), lambda g: (col2im(g, geometry),))
 
 
-def col2im(cols, geometry, in_shape):
+def col2im(cols, geometry):
+    """Adjoint of im2col: columns back to the image shape `geometry` records."""
     cols = as_var(cols)
-    return Var(scatter_patches(cols.data, geometry, in_shape), (cols,), lambda g: (im2col(g, geometry),))
+    return Var(scatter_patches(cols.data, geometry), (cols,), lambda g: (im2col(g, geometry),))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ class IdxCountMismatchError(IdxFormatError):
 
 @dataclass(frozen=True)
 class Sample:
+    """One sample: its image and its label."""
     image: np.ndarray  # entries in [0, 1]
     label: int
-    source: str
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,7 @@ def load_idx(images_path, labels_path, limit=None, num_classes=10) -> Dataset:
     if beyond.size:
         raise IdxFormatError(f"{labels_path}: label {labels[beyond[0]]} of sample {beyond[0]} "
                              f"is not below num_classes {num_classes}")
-    samples = tuple(
-        Sample(image=pixels[i], label=int(labels[i]), source=f"idx:{i}") for i in range(count)
-    )
+    samples = tuple(Sample(image=pixels[i], label=int(labels[i])) for i in range(count))
     return Dataset(samples=samples, num_classes=num_classes, image_shape=(1, rows, cols))
 
 
@@ -115,33 +113,33 @@ def synthetic_samples(kind, n, shape=(1, 28, 28), seed=0, num_classes=10) -> Dat
         c, h, w = shape
         yy, xx = np.mgrid[0:h, 0:w]
         centers = [(rng.uniform(0.2, 0.8) * h, rng.uniform(0.2, 0.8) * w) for _ in range(num_classes)]
-        for i in range(n):
+        for _ in range(n):
             label = int(rng.integers(num_classes))
             cy, cx = centers[label]
             blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * (0.15 * h) ** 2)))
             img = 0.7 * blob + 0.25 * rng.uniform(0, 1, size=(h, w))
             img = np.clip(np.broadcast_to(img, shape).copy(), 0.0, 1.0)
-            samples.append(Sample(img, label, f"gaussian_blobs:{i}"))
+            samples.append(Sample(img, label))
     elif kind == "separable_2class":
         d = int(np.prod(shape))
         direction = rng.normal(size=d)
         direction /= np.linalg.norm(direction)
-        for i in range(n):
+        for _ in range(n):
             label = int(rng.integers(2))
             sign = 1.0 if label == 1 else -1.0
             base = 0.5 + sign * 0.5 * direction + 0.05 * rng.normal(size=d)  # margin 0.5
             img = np.clip(base.reshape(shape), 0.0, 1.0)
-            samples.append(Sample(img, label, f"separable_2class:{i}"))
+            samples.append(Sample(img, label))
         num_classes = 2
     elif kind == "checkerboard":
         c, h, w = shape
         yy, xx = np.mgrid[0:h, 0:w]
-        for i in range(n):
+        for _ in range(n):
             label = int(rng.integers(2))
             period = 2 + label * 2
             board = ((yy // period + xx // period) % 2).astype(np.float64)
             img = np.clip(0.8 * board + 0.2 * rng.uniform(0, 1, size=(h, w)), 0.0, 1.0)
-            samples.append(Sample(np.broadcast_to(img, shape).copy(), label, f"checkerboard:{i}"))
+            samples.append(Sample(np.broadcast_to(img, shape).copy(), label))
         num_classes = 2
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")

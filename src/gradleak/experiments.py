@@ -81,8 +81,12 @@ def _start(cfg: ExperimentConfig):
     unreadable IDX file, fewer than cfg.samples samples, images of another
     size than the model input, or a label beyond a cross-entropy head is a
     ConfigError.  An output directory that cannot be made fails first."""
-    if not cfg.output_dir or (os.path.lexists(cfg.output_dir) and not os.path.isdir(cfg.output_dir)):
-        raise NotADirectoryError(f"output directory {cfg.output_dir!r} is not a directory")
+    parent = cfg.output_dir
+    while parent and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not cfg.output_dir or (parent and not os.path.isdir(parent)):
+        below = "" if parent == cfg.output_dir else f" is under {parent!r}, which"
+        raise NotADirectoryError(f"output directory {cfg.output_dir!r}{below} is not a directory")
     spec = build_model_from_config(cfg)
     try:
         dataset = load_dataset(cfg)
@@ -151,7 +155,7 @@ def _parameter_epochs(cfg, spec, dataset):
     params = initialize_parameters(spec, cfg.init)
     out = [(0, params)]
     if cfg.train.epochs > 0:
-        fitted = [Sample(s.image.reshape(spec.input_shape), s.label, s.source) for s in dataset]
+        fitted = [Sample(s.image.reshape(spec.input_shape), s.label) for s in dataset]
         snaps = zoo.train_model(spec, params, fitted, cfg.train.epochs, cfg.train.lr)
         out += [(e + 1, p) for e, p in enumerate(snaps)]
     return out
@@ -441,7 +445,8 @@ def run_validate(seed=0, perturb_vjp=None):
     cg = SolverConfig(mode="conjugate_gradient", epsilon=0.0, max_iters=2000)
     draws = rng.normal(size=(300, op.d_theta))  # row i is the i-th draw of a loop
     vals = i2f_exact(op, draws.T, cg).exact_value ** 2
-    se = vals.std(ddof=1) / np.sqrt(len(vals))
+    # ||b||^2 = sum z_i^2 / lambda_i, z_i ~ N(0, 1): the exact standard error
+    se = np.sqrt(2 * np.sum(spectrum.eigenvalues ** -2.0) / len(vals))
     record("gaussian_expectation_monte_carlo", abs(vals.mean() - closed), 3 * se)
 
     # the Lipschitz bound is exact on the linear model

@@ -353,7 +353,7 @@ class _Affine(_Step):
                  else (layer.in_features, layer.out_features))
         if min(sizes) < 1 or conv and layer.padding < 0:
             raise ShapeError(f"layer {i} ({layer}) needs sizes, kernel and stride >= 1 and padding >= 0")
-        self.geometry, self.in_shape, self.off = None, in_shape, off
+        self.geometry, self.off = None, off
         if conv:
             if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
                 raise ShapeError(f"layer {i} ({layer}) expects (channels={layer.in_channels}, H, W), got shape {in_shape}")
@@ -378,7 +378,7 @@ class _Affine(_Step):
     def from_cols(self, c):
         if self.geometry is None:
             return c.reshape(c.shape[:-1])
-        return ad.scatter_patches(c, self.geometry, self.in_shape)
+        return ad.scatter_patches(c, self.geometry)
 
     def weight(self, vec):
         """The weight matrix within theta, or the stack of them within a

@@ -125,8 +125,8 @@ def test_im2col_col2im_match_padded_add_at(in_shape, k, s, p):
     flat = np.zeros(xpad.size)
     np.add.at(flat, idx.reshape(-1), cols.reshape(-1))
     expect = flat.reshape(pad_shape)[:, p:p + h, p:p + w]
-    assert np.array_equal(ad.scatter_patches(cols, geometry, in_shape), expect)
-    assert np.array_equal(ad.col2im(Var(cols), geometry, in_shape).data, expect)
+    assert np.array_equal(ad.scatter_patches(cols, geometry), expect)
+    assert np.array_equal(ad.col2im(Var(cols), geometry).data, expect)
 
 
 def test_shared_subexpression_diamond():

@@ -169,6 +169,29 @@ def test_validate_mutation_detected():
     assert any(l.startswith("FAIL adjoint_identity") for l in lines)
 
 
+def test_validate_passes_at_seed_6():
+    # the Monte Carlo check's sample standard error ran low at seed 6 and
+    # failed it; the exact one, from the spectrum, does not
+    ok, lines = experiments.run_validate(seed=6)
+    assert ok, [l for l in lines if l.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_validate_monte_carlo_catches_a_scaled_solve(monkeypatch, seed):
+    # a solve 1.2 times too large fails the Monte Carlo check under the exact
+    # standard error (it did so at every seed of 0-199)
+    solve = experiments.i2f_exact
+
+    def scaled(*args):
+        report = solve(*args)
+        return dataclasses.replace(report, exact_value=1.2 * report.exact_value)
+
+    monkeypatch.setattr(experiments, "i2f_exact", scaled)
+    ok, lines = experiments.run_validate(seed=seed)
+    assert not ok
+    assert any(l.startswith("FAIL gaussian_expectation_monte_carlo") for l in lines)
+
+
 def test_audit_linear_rows_match_i2f(tmp_path):
     doc = base_doc(str(tmp_path / "out"),
                    perturbations=[{"kind": "gaussian", "variance": v}
@@ -344,7 +367,7 @@ def test_singular_direction_index_is_checked_against_rank():
 
 def test_init_compare_rejects_singular_spectrum(tmp_path):
     # black images under a zero-target identity unit: residual 0 and x = 0, so J = 0
-    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0, f"zero:{i}") for i in range(2)),
+    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0) for i in range(2)),
                     3, (1, 3, 3))
     ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
     write_idx(zeros, ip, lp)
@@ -358,7 +381,7 @@ def test_init_compare_rejects_singular_spectrum(tmp_path):
 def zero_jacobian_config(tmp_path, **over):
     """The all-black IDX images of test_init_compare_rejects_singular_spectrum
     under a zero-target identity unit, so J = 0."""
-    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0, f"zero:{i}") for i in range(2)),
+    zeros = Dataset(tuple(Sample(np.zeros((1, 3, 3)), 0) for i in range(2)),
                     3, (1, 3, 3))
     ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
     write_idx(zeros, ip, lp)
@@ -401,6 +424,20 @@ def test_unusable_output_dir_fails_before_any_gram(tmp_path, capsys, monkeypatch
     path = str(target) if out == "file" else ""
     assert main(["spectrum", "--config", write_doc(tmp_path, base_doc(path))]) == 1
     assert capsys.readouterr().err == f"error: output directory {path!r} is not a directory\n"
+    assert grams == [] and target.read_text() == "kept\n"
+
+
+def test_output_dir_below_a_file_fails_before_any_gram(tmp_path, capsys, monkeypatch):
+    # FILE/sub cannot be made when FILE is a file: the run stops in _start
+    grams = []
+    monkeypatch.setattr(influence, "_normal_gram", lambda *a, **k: grams.append(a))
+    target = tmp_path / "out"
+    target.write_text("kept\n")
+    out = str(target / "sub")
+    assert main(["spectrum", "--config", write_doc(tmp_path, base_doc(str(tmp_path / "x"))),
+                 "--out", out]) == 1
+    assert capsys.readouterr().err == (f"error: output directory {out!r} is under {str(target)!r}, "
+                                       "which is not a directory\n")
     assert grams == [] and target.read_text() == "kept\n"
 
 
@@ -522,7 +559,7 @@ def test_malformed_idx_file_is_a_config_error(tmp_path, capsys):
 def test_idx_label_beyond_data_num_classes_is_a_config_error(tmp_path, capsys):
     # labels 0, 7, 7 under data.num_classes 3, although a 10-way head would take them
     images = np.linspace(0.0, 1.0, 27).reshape(3, 1, 3, 3)
-    ds = Dataset(tuple(Sample(images[i], label, f"s:{i}") for i, label in enumerate((0, 7, 7))),
+    ds = Dataset(tuple(Sample(images[i], label) for i, label in enumerate((0, 7, 7))),
                  3, (1, 3, 3))
     ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
     write_idx(ds, ip, lp)

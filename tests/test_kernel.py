@@ -227,10 +227,10 @@ def test_scatter_of_a_stack_equals_lone_scatters_property(channels, size, kernel
     geometry = ad.conv_geometry(in_shape, kernel, stride, padding)
     rows, positions = geometry[0].shape
     cols = np.random.Generator(np.random.PCG64(seed)).normal(size=(k, rows, positions))
-    stack = ad.scatter_patches(cols, geometry, in_shape)
+    stack = ad.scatter_patches(cols, geometry)
     assert stack.shape == (k,) + in_shape
     for j in range(k):
-        assert np.array_equal(stack[j], ad.scatter_patches(cols[j], geometry, in_shape))
+        assert np.array_equal(stack[j], ad.scatter_patches(cols[j], geometry))
 
 
 @settings(max_examples=100, deadline=None)
