@@ -11,7 +11,6 @@ from .models import (
     Linear,
     MixedJacobianOperator,
     ModelSpec,
-    ParameterSet,
     forward_loss,
     gradients,
     initialize_parameters,

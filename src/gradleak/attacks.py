@@ -89,13 +89,13 @@ def _dummy_init(spec, cfg):
     return rng.normal(0.0, 1.0, size=shape)  # gaussian
 
 
-def _objective_grad(spec, params, x, y, g_target, kind):
+def _objective_grad(spec, theta, x, y, g_target, kind):
     """Matching objective and its input gradient at the current dummy x.
 
     Both objectives depend on x only through g = g_theta(x), so their
     input gradient is one mixed-Jacobian product, J @ d(obj)/dg.
     """
-    op = MixedJacobianOperator(spec, params, x, y)
+    op = MixedJacobianOperator(spec, theta, x, y)
     g = op.g_theta
     if kind == "dgl":
         r = g - g_target
@@ -116,7 +116,7 @@ class ZeroGradientError(RuntimeError):
     pass
 
 
-def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackResult:
+def run_attack(spec, theta, g_target, y, cfg: AttackConfig, x0=None) -> AttackResult:
     """Run the inversion attack that cfg.kind names ("dgl" or "gs") against
     a target gradient; the one entry point for both attacks.
 
@@ -132,7 +132,7 @@ def run_attack(spec, params, g_target, y, cfg: AttackConfig, x0=None) -> AttackR
     best_obj = np.inf
     best_x = x.copy()
     for it in range(cfg.iterations):
-        obj, gx = _objective_grad(spec, params, x, y, g_target, cfg.kind)
+        obj, gx = _objective_grad(spec, theta, x, y, g_target, cfg.kind)
         if not np.isfinite(obj):
             raise FloatingPointError(f"inversion objective became non-finite at iteration {it}")
         trace[it] = obj

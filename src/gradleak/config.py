@@ -170,6 +170,8 @@ class ExperimentConfig:
         for name in ("samples", "repetitions", "eigen_directions"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.init_schemes:
+            raise ConfigError("init_schemes must hold at least one scheme, got []")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for kind in self.init_schemes:

@@ -132,31 +132,31 @@ def _check_kernel(op, seed):
     engine's graph-built product at op's own point, so that every run keeps
     an independent route through the layer rules of the model it audits."""
     delta = np.random.Generator(np.random.PCG64(seed)).normal(size=op.d_theta)
-    ref = zoo.engine_oracle(op.spec, op.params, op.x, op.y, "jvp", delta)
+    ref = zoo.engine_oracle(op.spec, op.theta, op.x, op.y, "jvp", delta)
     err = np.abs(op.jvp(delta) - ref).max() / max(np.abs(ref).max(), 1e-300)
     if not err <= KERNEL_CHECK_TOL:
         raise RuntimeError(f"mixed-Jacobian kernel disagrees with the autodiff engine: "
                            f"relative error {err:.3e} > {KERNEL_CHECK_TOL:.0e}")
 
 
-def _sample_operators(cfg, spec, params, dataset):
+def _sample_operators(cfg, spec, theta, dataset):
     """(index, sample, operator at that sample) for cfg.samples samples; the
     first operator is checked against the engine under cfg.seed."""
     for si in range(cfg.samples):
         sample = dataset[si]  # a loss without labels ignores the label
-        op = MixedJacobianOperator(spec, params, sample.image.reshape(spec.input_shape), sample.label)
+        op = MixedJacobianOperator(spec, theta, sample.image.reshape(spec.input_shape), sample.label)
         if si == 0:
             _check_kernel(op, cfg.seed)
         yield si, sample, op
 
 
 def _parameter_epochs(cfg, spec, dataset):
-    """(epoch, ParameterSet) list: the initialization plus optional SGD snapshots."""
-    params = initialize_parameters(spec, cfg.init)
-    out = [(0, params)]
+    """(epoch, theta) list: the initialization plus optional SGD snapshots."""
+    theta = initialize_parameters(spec, cfg.init)
+    out = [(0, theta)]
     if cfg.train.epochs > 0:
         fitted = [Sample(s.image.reshape(spec.input_shape), s.label) for s in dataset]
-        snaps = zoo.train_model(spec, params, fitted, cfg.train.epochs, cfg.train.lr)
+        snaps = zoo.train_model(spec, theta, fitted, cfg.train.epochs, cfg.train.lr)
         out += [(e + 1, p) for e, p in enumerate(snaps)]
     return out
 
@@ -188,7 +188,7 @@ def _measure(cfg, sample, op, jobs, spectrum=None):
     scored against op.x; `sample` is read only to dump x_star if tagged."""
     out, drawn = [], [_realize_perturbation(pert, op, seed, spectrum) for pert, seed, *_ in jobs]
     for (_, _, attack_seed, tag), (delta, value) in zip(jobs, drawn):
-        res = run_attack(op.spec, op.params, op.g_theta + delta, op.y,
+        res = run_attack(op.spec, op.theta, op.g_theta + delta, op.y,
                          _attack_config(cfg, attack_seed), x0=op.x)
         if tag and cfg.dump_images:
             _dump_pair(cfg, tag, sample, res.x_star)
@@ -200,7 +200,8 @@ def run_audit(cfg: ExperimentConfig):
     """One row per (sample, perturbation, epoch): metric values vs. attack error.
     A sample's perturbations are one (d_theta, P) block and share one Lanczos,
     whose lambda_max the floor and the Richardson step both read, and at most
-    one Gram J J^T, which the singular directions and the dense solve both read."""
+    one Gram J J^T, which the singular directions and the dense solve both read.
+    A block solve that stops unconverged at max_iters is named on stderr."""
     if not cfg.perturbations:
         raise ConfigError("audit needs at least one perturbation")
     spec, dataset = _start(cfg)
@@ -209,8 +210,8 @@ def run_audit(cfg: ExperimentConfig):
               "attack_l2", "attack_rmse", "attack_final_loss"]
     rows = []
     needs_spectrum = any(p.kind == "singular_direction" for p in cfg.perturbations)
-    for epoch, params in _parameter_epochs(cfg, spec, dataset):
-        for si, sample, op in _sample_operators(cfg, spec, params, dataset):
+    for epoch, theta in _parameter_epochs(cfg, spec, dataset):
+        for si, sample, op in _sample_operators(cfg, spec, theta, dataset):
             spectrum = dense_spectrum(op) if needs_spectrum else None
             measured = _measure(cfg, sample, op, [
                 (pert, job_seed(cfg.seed, epoch, si, pi), job_seed(cfg.seed, epoch, si, pi, 1),
@@ -218,8 +219,12 @@ def run_audit(cfg: ExperimentConfig):
             D = np.stack([delta for delta, _, _ in measured], axis=1)
             lb = i2f_lower_bound(op, D, seed=job_seed(cfg.seed, epoch, si),
                                  epsilon=cfg.solver.epsilon)
-            exact = i2f_exact(op, D, cfg.solver, spectrum=spectrum,
-                              lambda_max=lb.lambda_max).exact_value
+            solve = i2f_exact(op, D, cfg.solver, spectrum=spectrum, lambda_max=lb.lambda_max)
+            if not solve.converged:
+                print(f"warning: audit epoch {epoch} sample {si}: {cfg.solver.mode} did not converge "
+                      f"in max_iters={cfg.solver.max_iters}; largest residual "
+                      f"{np.max(solve.residual):.3e}", file=sys.stderr)
+            exact = solve.exact_value
             for pi, (pert, (delta, param_val, res)) in enumerate(zip(cfg.perturbations, measured)):
                 rows.append([si, epoch, pert.kind, param_val, float(np.linalg.norm(delta)),
                              cfg.solver.epsilon, float(exact[pi]), float(lb.lower_bound[pi]),
@@ -234,8 +239,8 @@ def run_eigen_defense(cfg: ExperimentConfig):
     header = ["sample", "direction_rank", "sigma", "lambda", "inv_sigma", "inv_lambda",
               "delta_norm", "attack_l2", "attack_mse"]
     rows = []
-    params = initialize_parameters(spec, cfg.init)
-    for si, sample, op in _sample_operators(cfg, spec, params, dataset):
+    theta = initialize_parameters(spec, cfg.init)
+    for si, sample, op in _sample_operators(cfg, spec, theta, dataset):
         rep = dense_spectrum(op)
         if rep.rank == 0:
             raise SingularSpectrumError(f"J has rank 0 at sample {si}: "
@@ -256,12 +261,12 @@ def run_fairness(cfg: ExperimentConfig):
     per-class aggregates; surfaces the spread that a mean hides."""
     spec, dataset = _start(cfg)
     pert = _perturbation(cfg, "gaussian")
-    params = initialize_parameters(spec, cfg.init)
+    theta = initialize_parameters(spec, cfg.init)
     sample_header = ["sample", "label", "variance", "delta_norm", "i2f_lower_bound",
                      "attack_l2", "attack_mse"]
     rows = []
     results = []
-    for si, sample, op in _sample_operators(cfg, spec, params, dataset):
+    for si, sample, op in _sample_operators(cfg, spec, theta, dataset):
         [(delta, _, res)] = _measure(cfg, sample, op,
                                      [(pert, job_seed(cfg.seed, si), job_seed(cfg.seed, si, 2), None)])
         lb = i2f_lower_bound(op, delta, seed=job_seed(cfg.seed, si, 1),
@@ -294,8 +299,8 @@ def run_init_compare(cfg: ExperimentConfig):
               "attack_l2", "attack_mse"]
     rows = []
     for scheme_idx, scheme_kind in enumerate(cfg.init_schemes):
-        params = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
-        for si, sample, op in _sample_operators(cfg, spec, params, dataset):
+        theta = initialize_parameters(spec, InitScheme(scheme_kind, cfg.init.seed))
+        for si, sample, op in _sample_operators(cfg, spec, theta, dataset):
             spectrum = dense_spectrum(op, vectors=False)
             try:
                 exp_risk = expected_gaussian_risk(spectrum, pert.variance, cfg.solver.epsilon)
@@ -323,8 +328,8 @@ def run_efficiency(cfg: ExperimentConfig):
     which change on every rerun, go to stderr as one line.
     """
     spec, dataset = _start(cfg)
-    params = initialize_parameters(spec, cfg.init)
-    _, _, op = next(_sample_operators(cfg, spec, params, dataset))
+    theta = initialize_parameters(spec, cfg.init)
+    _, _, op = next(_sample_operators(cfg, spec, theta, dataset))
     power_rows = []
     metric_time = 0.0
     for s in range(EFFICIENCY_SEEDS):
@@ -341,7 +346,7 @@ def run_efficiency(cfg: ExperimentConfig):
         for s in range(EFFICIENCY_SEEDS):
             atk_cfg = _attack_config(cfg, job_seed(cfg.seed, s, int(lr * 1000)), learning_rate=lr)
             t0 = time.perf_counter()
-            res = run_attack(spec, op.params, op.g_theta, op.y, atk_cfg, x0=op.x)
+            res = run_attack(spec, op.theta, op.g_theta, op.y, atk_cfg, x0=op.x)
             attack_time = min(attack_time, time.perf_counter() - t0)
             attack_rows += [[lr, s, i, v] for i, v in enumerate(res.loss_trace)]
     _write(cfg, "efficiency_attack.csv", ["learning_rate", "seed", "iteration", "inversion_loss"],
@@ -356,9 +361,9 @@ def run_efficiency(cfg: ExperimentConfig):
 
 def run_spectrum(cfg: ExperimentConfig):
     spec, dataset = _start(cfg)
-    params = initialize_parameters(spec, cfg.init)
+    theta = initialize_parameters(spec, cfg.init)
     rows = []
-    for si, _, op in _sample_operators(cfg, spec, params, dataset):
+    for si, _, op in _sample_operators(cfg, spec, theta, dataset):
         rep = dense_spectrum(op, vectors=False)
         rows += [[si, i, float(lam), float(sig)]
                  for i, (lam, sig) in enumerate(zip(rep.eigenvalues, rep.singular_values))]
@@ -398,23 +403,23 @@ def run_validate(seed=0, perturb_vjp=None):
     mlp = zoo.mlp_model(6, 8, 3)
     cases = []
     for name, spec in (("linear", lin), ("one_layer", one), ("mlp", mlp)):
-        params = initialize_parameters(spec, InitScheme("xavier", seed + 7))
+        theta = initialize_parameters(spec, InitScheme("xavier", seed + 7))
         x = rng.uniform(0, 1, spec.input_shape)
         y = 1 if spec.loss == "cross_entropy" else None
-        cases.append((name, MixedJacobianOperator(spec, params, x, y)))
+        cases.append((name, MixedJacobianOperator(spec, theta, x, y)))
 
     # gradients vs. central finite differences
     for name, op in cases:
-        g = zoo.gradients(op.spec, op.params, op.x, op.y)
-        fd = zoo.finite_difference_oracle(op.spec, op.params, op.x, op.y, "grad_theta")
+        g = zoo.gradients(op.spec, op.theta, op.x, op.y)
+        fd = zoo.finite_difference_oracle(op.spec, op.theta, op.x, op.y, "grad_theta")
         scale = max(np.abs(fd).max(), 1e-12)
         record(f"finite_difference_grad_theta[{name}]", np.abs(g.g_theta - fd).max() / scale, 1e-6)
 
     # mixed JVP vs. finite differences of gradients
     for name, op in cases:
         delta = rng.normal(size=op.d_theta)
-        jv = zoo.mixed_jvp(op.spec, op.params, op.x, op.y, delta)
-        fd = zoo.finite_difference_oracle(op.spec, op.params, op.x, op.y, "jvp", delta=delta)
+        jv = zoo.mixed_jvp(op.spec, op.theta, op.x, op.y, delta)
+        fd = zoo.finite_difference_oracle(op.spec, op.theta, op.x, op.y, "jvp", delta=delta)
         scale = max(np.abs(fd).max(), 1e-12)
         record(f"finite_difference_mixed_jvp[{name}]", np.abs(jv - fd).max() / scale, 1e-5)
 
@@ -459,7 +464,7 @@ def run_validate(seed=0, perturb_vjp=None):
     for name, op in cases:
         for what, product, size in (("jvp", op.jvp, op.d_theta), ("vjp", op.vjp, op.d_x)):
             v = rng.normal(size=size)
-            ref = zoo.engine_oracle(op.spec, op.params, op.x, op.y, what, v)
+            ref = zoo.engine_oracle(op.spec, op.theta, op.x, op.y, what, v)
             scale = max(np.abs(ref).max(), 1e-12)
             record(f"engine_oracle_mixed_{what}[{name}]", np.abs(product(v) - ref).max() / scale, 1e-10)
 

@@ -299,7 +299,7 @@ class LipschitzEstimate:
     radius: float
 
 
-def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0) -> LipschitzEstimate:
+def estimate_lipschitz(spec, theta, samples, n_pairs=10, radius=1e-2, seed=0) -> LipschitzEstimate:
     """Empirical max-over-pairs estimates of the gradient/Jacobian Lipschitz
     constants w.r.t. the input.  Pairs are (x, x + radius * unit direction)."""
     if n_pairs < 1 or radius <= 0:
@@ -315,8 +315,8 @@ def estimate_lipschitz(spec, params, samples, n_pairs=10, radius=1e-2, seed=0) -
         direction /= np.linalg.norm(direction)
         x2 = x + radius * direction
         dist = radius
-        op1 = MixedJacobianOperator(spec, params, x, y)
-        op2 = MixedJacobianOperator(spec, params, x2, y)
+        op1 = MixedJacobianOperator(spec, theta, x, y)
+        op2 = MixedJacobianOperator(spec, theta, x2, y)
         mu_l = max(mu_l, float(np.linalg.norm(op1.g_theta - op2.g_theta) / dist))
         diff = SimpleNamespace(d_x=spec.d_x, jvp=lambda v: op1.jvp(v) - op2.jvp(v),
                                vjp=lambda b: op1.vjp(b) - op2.vjp(b))  # J - J'

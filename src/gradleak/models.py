@@ -96,19 +96,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class ParameterSet:
-    """Flat parameter vector; ModelSpec.plan places each layer's weights in it."""
-
-    theta: np.ndarray
-
-    def with_theta(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != self.theta.shape:
-            raise ShapeError(f"parameter vector length {theta.size} != {self.theta.size}")
-        return ParameterSet(theta)
-
-
-@dataclass(frozen=True)
 class InitScheme:
     kind: str = "uniform"
     seed: int = 0
@@ -120,8 +107,9 @@ class InitScheme:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
-    """theta with each weighted layer's block drawn in plan order, where spec.plan places it."""
+def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> np.ndarray:
+    """theta, the float64 (d_theta,) parameter vector, with each weighted
+    layer's block drawn in plan order, where spec.plan places it."""
     rng = np.random.Generator(np.random.PCG64(scheme.seed))
     theta = np.zeros(spec.d_theta)
     for step in spec.plan:
@@ -141,7 +129,7 @@ def initialize_parameters(spec: ModelSpec, scheme: InitScheme) -> ParameterSet:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             block = rng.uniform(-bound, bound, size=n)
         theta[step.off:step.off + n] = block
-    return ParameterSet(theta)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +179,18 @@ def _check_sample(spec, x):
     return x
 
 
-def forward_loss(spec: ModelSpec, params: ParameterSet, x, y=None) -> float:
-    x = _check_sample(spec, x)
-    loss = _forward_var(spec, Var(params.theta), Var(x), y)
+def _check_theta(spec, theta):
+    """theta as float64, not a copy if it is one already; ShapeError unless
+    it is a vector of spec.d_theta entries."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (spec.d_theta,):
+        raise ShapeError(f"theta has shape {theta.shape} but d_theta is {spec.d_theta}")
+    return theta
+
+
+def forward_loss(spec: ModelSpec, theta, x, y=None) -> float:
+    theta, x = _check_theta(spec, theta), _check_sample(spec, x)
+    loss = _forward_var(spec, Var(theta), Var(x), y)
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss")
     return float(loss.data)
@@ -205,14 +202,15 @@ class GradientBundle:
     g_x: np.ndarray
 
 
-def gradients(spec: ModelSpec, params: ParameterSet, x, y=None) -> GradientBundle:
-    op = MixedJacobianOperator(spec, params, x, y)
+def gradients(spec: ModelSpec, theta, x, y=None) -> GradientBundle:
+    op = MixedJacobianOperator(spec, theta, x, y)
     return GradientBundle(op.g_theta.copy(), op.g_x.copy())
 
 
 class MixedJacobianOperator:
     """Matrix-free J = d^2 L / (dx dtheta), shape (d_x, d_theta), at the one point
-    it keeps as it was given: `spec`, `params`, `y` and the checked float64 `x`.
+    it keeps: `spec`, `y` and the checked float64 `theta` and `x`, as given if
+    they were float64 already.
 
     Graph-free forward-over-reverse (Pearlmutter's R-operator): the
     constructor runs the layer plan that ModelSpec compiled, one forward
@@ -227,14 +225,15 @@ class MixedJacobianOperator:
     GEMMs.
     """
 
-    def __init__(self, spec: ModelSpec, params: ParameterSet, x, y=None):
-        self.spec, self.params, self.y = spec, params, y
+    def __init__(self, spec: ModelSpec, theta, x, y=None):
+        self.spec, self.y = spec, y
+        self.theta = theta = _check_theta(spec, theta)
         self.x = x = _check_sample(spec, x)
         self.d_x, self.d_theta = spec.d_x, spec.d_theta
         plan, self._kept = spec.plan, []
         h = x
         for i, step in enumerate(plan):
-            h, keep = step.forward(params.theta, h)
+            h, keep = step.forward(theta, h)
             # activations and flattens keep finite values finite, so the first
             # non-finite output is layer 0's (it reads x) or a weighted layer's
             if (i == 0 or isinstance(step, _Affine)) and not np.isfinite(h).all():
@@ -515,12 +514,12 @@ def _loss_hvp(loss, p, d):
     return d if loss == "squared_error" else None
 
 
-def mixed_jvp(spec, params, x, y, delta):
-    return MixedJacobianOperator(spec, params, x, y).jvp(delta)
+def mixed_jvp(spec, theta, x, y, delta):
+    return MixedJacobianOperator(spec, theta, x, y).jvp(delta)
 
 
-def mixed_vjp(spec, params, x, y, b):
-    return MixedJacobianOperator(spec, params, x, y).vjp(b)
+def mixed_vjp(spec, theta, x, y, b):
+    return MixedJacobianOperator(spec, theta, x, y).vjp(b)
 
 
 # Identity columns per block product when J or its Gram J J^T is made
@@ -537,11 +536,11 @@ class BudgetError(ValueError):
     pass
 
 
-def materialize_jacobian(spec, params, x, y=None, by="rows"):
+def materialize_jacobian(spec, theta, x, y=None, by="rows"):
     """Dense J, built row-wise from VJPs (or column-wise from JVPs)."""
     from .influence import _dense_from_operator
 
-    op = MixedJacobianOperator(spec, params, x, y)
+    op = MixedJacobianOperator(spec, theta, x, y)
     if by == "rows":
         return _dense_from_operator(op)
     if by == "columns":
@@ -568,16 +567,16 @@ def dense_columns(product, n, rows, what):
 # independent oracles (the other side of the dual-route checks)
 
 
-def engine_oracle(spec, params, x, y, what, vec=None):
+def engine_oracle(spec, theta, x, y, what, vec=None):
     """What the kernel computes, built instead as autodiff graphs.
 
     `what` is "grad_theta", "grad_x", "jvp" (J @ vec: the x-gradient of
     <g_theta, vec>) or "vjp" (J.T @ vec: the theta-gradient of <g_x, vec>).
     """
-    x = _check_sample(spec, x)
+    theta, x = _check_theta(spec, theta), _check_sample(spec, x)
     if what not in ("grad_theta", "grad_x", "jvp", "vjp"):
         raise ValueError(f"unknown oracle target {what!r}")
-    x_var, theta_var = Var(x), Var(params.theta)
+    x_var, theta_var = Var(x), Var(theta)
     gt, gx = grad(_forward_var(spec, theta_var, x_var, y), [theta_var, x_var])
     if what == "grad_theta":
         return gt.data.copy()
@@ -592,16 +591,16 @@ def engine_oracle(spec, params, x, y, what, vec=None):
 
 
 
-def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=None, delta=None):
-    x = _check_sample(spec, x)
+def finite_difference_oracle(spec, theta, x, y=None, what="grad_theta", step=None, delta=None):
+    theta, x = _check_theta(spec, theta), _check_sample(spec, x)
     if what == "grad_theta":
         h = 1e-5 if step is None else step
         out = np.zeros(spec.d_theta)
         for i in range(spec.d_theta):
-            tp, tm = params.theta.copy(), params.theta.copy()
+            tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            out[i] = (forward_loss(spec, params.with_theta(tp), x, y) - forward_loss(spec, params.with_theta(tm), x, y)) / (2 * h)
+            out[i] = (forward_loss(spec, tp, x, y) - forward_loss(spec, tm, x, y)) / (2 * h)
         return out
     if what == "jvp":
         if delta is None:
@@ -614,8 +613,8 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
             xp, xm = flat.copy(), flat.copy()
             xp[i] += h
             xm[i] -= h
-            gp = MixedJacobianOperator(spec, params, xp.reshape(x.shape), y).g_theta
-            gm = MixedJacobianOperator(spec, params, xm.reshape(x.shape), y).g_theta
+            gp = MixedJacobianOperator(spec, theta, xp.reshape(x.shape), y).g_theta
+            gm = MixedJacobianOperator(spec, theta, xm.reshape(x.shape), y).g_theta
             out[i] = (gp @ delta - gm @ delta) / (2 * h)
         return out
     raise ValueError(f"unknown oracle target {what!r}")
@@ -625,22 +624,21 @@ def finite_difference_oracle(spec, params, x, y=None, what="grad_theta", step=No
 # minimal per-sample SGD trainer
 
 
-def train_model(spec, params, dataset, epochs, lr):
-    """Plain SGD over a sequence of samples, one at a time in order; one
-    snapshot per epoch."""
+def train_model(spec, theta, dataset, epochs, lr):
+    """Plain SGD from theta over a sequence of samples, one at a time in
+    order; one snapshot of theta, a new (d_theta,) array, per epoch."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    theta = params.theta.copy()
+    theta = _check_theta(spec, theta)
     snapshots = []
     for epoch in range(epochs):
         for sample in dataset:
-            cur = params.with_theta(theta)
-            theta = theta - lr * MixedJacobianOperator(spec, cur, sample.image, sample.label).g_theta
+            theta = theta - lr * MixedJacobianOperator(spec, theta, sample.image, sample.label).g_theta
             if not np.all(np.isfinite(theta)):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
-        snapshots.append(params.with_theta(theta.copy()))
+        snapshots.append(theta)
     return snapshots
 
 

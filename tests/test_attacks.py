@@ -194,7 +194,7 @@ def test_prune_survivor_property(values, ratio):
 def test_singular_direction_perturbation():
     # frozen J = [[4,0],[1,2]]: distinct sigmas, responses ordered as 1/sigma
     spec = one_layer_model(2, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([2.0, 1.0])
+    params = np.array([2.0, 1.0])
     op = MixedJacobianOperator(spec, params, np.array([1.0, 0.0]), None)
     d0, s0 = singular_direction_perturbation(op, 0, scale=1.0)
     d1, s1 = singular_direction_perturbation(op, 1, scale=2.0)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -215,6 +216,23 @@ def test_audit_epoch_rows(tmp_path):
     assert len(rows) == 3  # 1 sample x 1 perturbation x 3 epochs
 
 
+def test_audit_names_an_unconverged_solve_on_stderr(tmp_path, capsys):
+    # one CG step at eps 0 does not solve an MLP's J J^T: each sample's
+    # block solve gets one warning line, and base_doc's dense solve none
+    mlp = {"model": {"kind": "mlp", "hidden": 4, "num_classes": 3},
+           "attack": {"kind": "dgl", "iterations": 5}}
+    doc = base_doc(str(tmp_path / "cg"), **mlp,
+                   solver={"mode": "conjugate_gradient", "epsilon": 0.0, "max_iters": 1})
+    experiments.run_audit(load_config(write_doc(tmp_path, doc)))
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    for si, line in enumerate(lines):
+        assert re.fullmatch(rf"warning: audit epoch 0 sample {si}: conjugate_gradient did not "
+                            r"converge in max_iters=1; largest residual \d\.\d{3}e[+-]\d+", line)
+    experiments.run_audit(load_config(write_doc(tmp_path, base_doc(str(tmp_path / "dense")))))
+    assert capsys.readouterr().err == ""
+
+
 def test_eigen_defense_schema_and_toy_ordering(tmp_path):
     # one-layer toy with distinct sigmas: MSE ordering inverse to sigma
     doc = base_doc(str(tmp_path / "out"),
@@ -354,7 +372,7 @@ def test_attack_seed_is_rejected(tmp_path, capsys):
 def test_singular_direction_index_is_checked_against_rank():
     # residual 0, so J = x theta^T has rank 1: index 1 would be a null-space direction
     spec = one_layer_model(3, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    params = np.array([0.5, 0.25, 1.0])
     op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
     pert = PerturbationConfig(kind="singular_direction", index=1, scale=2.0)
     with pytest.raises(ConfigError, match="out of range for rank 1"):

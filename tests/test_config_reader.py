@@ -124,6 +124,7 @@ def test_model_that_does_not_compose_is_a_config_error(tmp_path, capsys):
 KINDS_AND_RANGES = [
     (("init", "kind"), "bogus", "unknown init scheme 'bogus'"),
     (("init_schemes",), ["uniform", "bogus"], "unknown init scheme 'bogus'"),
+    (("init_schemes",), [], r"init_schemes must hold at least one scheme, got \[\]"),
     (("data", "synthetic_kind"), "bogus", "unknown synthetic kind 'bogus'"),
     (("attack", "dummy_init"), "bogus", "unknown dummy init 'bogus'"),
     (("samples",), -1, "samples must be >= 1"),

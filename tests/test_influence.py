@@ -49,7 +49,7 @@ LAM_LO = (21 - math.sqrt(185)) / 2
 
 def frozen_operator():
     spec = one_layer_model(2, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([2.0, 1.0])
+    params = np.array([2.0, 1.0])
     return MixedJacobianOperator(spec, params, np.array([1.0, 0.0]), None)
 
 
@@ -191,7 +191,7 @@ def test_svd_identity_and_singular_direction_response():
 def test_expected_risk_rejects_singular_spectrum():
     # well-fit one-layer: rank-1 Jacobian
     spec = one_layer_model(3, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    params = np.array([0.5, 0.25, 1.0])
     op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
     rep = dense_spectrum(op)
     with pytest.raises(SingularSpectrumError):
@@ -294,8 +294,7 @@ def small_stacks(draw):
                       Linear(hidden, n_out)]
         input_shape = (d,)
     spec = ModelSpec(layers, "cross_entropy", input_shape, num_classes=n_out)
-    params = initialize_parameters(spec, InitScheme("xavier", 0))
-    params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
+    params = rng.normal(0.0, 0.7, size=spec.d_theta)
     x = rng.uniform(-1.0, 1.0, size=input_shape)
     return MixedJacobianOperator(spec, params, x, int(rng.integers(n_out)))
 
@@ -455,7 +454,7 @@ def test_lanczos_step_counts():
     assert lambda_max_power_iteration(linear_operator(4))[1:3] == (1, True)
     # rank 1: span{v, J J^T v} holds the top eigenvector, so step 2 is exact
     spec = one_layer_model(3, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    params = np.array([0.5, 0.25, 1.0])
     op = MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
     lam, its, conv, trace = lambda_max_power_iteration(op, iters=1)
     assert (its, conv) == (1, False) and lam < 7.875
@@ -530,7 +529,7 @@ def test_block_i2f_columns_equal_lone_solves_property(op, mode, k, eps, seed):
 def rank_one_operator():
     """A well-fit one-layer unit: J = x theta^T has rank 1."""
     spec = one_layer_model(3, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([0.5, 0.25, 1.0])
+    params = np.array([0.5, 0.25, 1.0])
     return MixedJacobianOperator(spec, params, np.array([1.0, 2.0, -1.0]), None)
 
 

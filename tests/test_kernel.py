@@ -28,7 +28,6 @@ from gradleak.models import (
     Linear,
     MixedJacobianOperator,
     ModelSpec,
-    ParameterSet,
     ShapeError,
     _forward_var,
     engine_oracle,
@@ -64,7 +63,7 @@ def hessian_condition(spec, params, x):
 
 def engine_objective_grad(spec, params, x, y, g_target, kind):
     """The DGL/GS step as one autodiff graph: objective, then its x-gradient."""
-    x_var, theta_var = Var(x), Var(params.theta)
+    x_var, theta_var = Var(x), Var(params)
     (gt,) = grad(_forward_var(spec, theta_var, x_var, y), [theta_var])
     if kind == "dgl":
         r = ad.sub(gt, Var(g_target))
@@ -113,8 +112,7 @@ def model_cases(draw):
         layers.append(Activation(draw(st.sampled_from(acts))))
     spec = ModelSpec(layers, loss, input_shape, num_classes=n_out,
                      target=rng.normal(size=n_out) if loss == "squared_error" else None)
-    params = initialize_parameters(spec, InitScheme("xavier", 0))
-    params = params.with_theta(rng.normal(0.0, 0.7, size=spec.d_theta))
+    params = rng.normal(0.0, 0.7, size=spec.d_theta)
     x = rng.uniform(-1.0, 1.0, size=input_shape)
     y = int(rng.integers(n_out)) if loss == "cross_entropy" else None
     return spec, params, x, y, rng
@@ -165,9 +163,8 @@ def test_non_finite_activation_names_the_layer(case, data):
     spec, params, x, y, _ = case
     weighted = [(i, step.off) for i, step in enumerate(spec.plan) if step.size]
     layer, off = weighted[data.draw(st.integers(0, len(weighted) - 1))]
-    theta = params.theta.copy()
-    theta[off] = np.inf
-    broken = ParameterSet(theta)
+    broken = params.copy()
+    broken[off] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(FloatingPointError) as engine_err:
             forward_loss(spec, broken, x, y)
@@ -179,7 +176,7 @@ def test_non_finite_activation_names_the_layer(case, data):
 def test_relu_kink_has_zero_derivative():
     # theta . x == 0 exactly: the engine's relu'(0) = 0 convention
     spec = one_layer_model(2, "relu", 0.5)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([1.0, -1.0])
+    params = np.array([1.0, -1.0])
     x = np.array([0.25, 0.25])
     op = MixedJacobianOperator(spec, params, x, None)
     assert not op.g_theta.any() and not op.g_x.any()
@@ -266,12 +263,11 @@ def test_overflow_squashed_by_sigmoid_still_raises():
     # each to 1.0, so a check of the loss alone would pass this forward
     spec = lenet_variant()
     params = initialize_parameters(spec, InitScheme("uniform", 0))
-    theta = params.theta.copy()
-    theta[:300] = 1e308
-    broken = params.with_theta(theta)
+    broken = params.copy()
+    broken[:300] = 1e308
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=spec.input_shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        conv0 = theta[:300].reshape(12, 25) @ ad.gather_patches(x, spec.plan[0].geometry)
+        conv0 = broken[:300].reshape(12, 25) @ ad.gather_patches(x, spec.plan[0].geometry)
         assert np.isposinf(conv0).all() and np.isfinite(ad.sigmoid_data(conv0)).all()
         with pytest.raises(FloatingPointError) as engine_err:
             forward_loss(spec, broken, x, 3)
@@ -319,14 +315,14 @@ def test_plan_is_compiled_once_and_shared_without_state(monkeypatch):
     (lenet_variant(image_size=8, channels=2, num_classes=3),
      np.random.default_rng(3).uniform(0.0, 1.0, size=(1, 8, 8)))], ids=["mlp", "lenet"])
 def test_operator_keeps_its_point(spec, x):
-    params = initialize_parameters(spec, InitScheme("xavier", 2))
-    op = MixedJacobianOperator(spec, params, x, 2)
+    theta = initialize_parameters(spec, InitScheme("xavier", 2))
+    op = MixedJacobianOperator(spec, theta, x, 2)
     checked = models._check_sample(spec, x)
-    assert op.spec is spec and op.params is params and op.y == 2
+    assert op.spec is spec and op.theta is theta and op.y == 2
     assert op.x.dtype == np.float64 and op.x.shape == spec.input_shape
     assert np.array_equal(op.x, checked) and (op.x is x) == isinstance(x, np.ndarray)
     # the kept point alone rebuilds the same operator, bit for bit
-    again = MixedJacobianOperator(op.spec, op.params, op.x, op.y)
+    again = MixedJacobianOperator(op.spec, op.theta, op.x, op.y)
     rng = np.random.default_rng(4)
     d, b = rng.normal(size=spec.d_theta), rng.normal(size=spec.d_x)
     assert np.array_equal(again.g_theta, op.g_theta)

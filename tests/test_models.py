@@ -23,14 +23,14 @@ from gradleak import (
     one_layer_model,
     train_model,
 )
-from gradleak.data import synthetic_samples
-from gradleak.models import BudgetError, ParameterSet, ShapeError
+from gradleak.data import Sample, synthetic_samples
+from gradleak.models import BudgetError, ShapeError, engine_oracle
 
 
 def frozen_one_layer():
     """L = 0.5 (theta . x)^2 at x=[1,0], theta=[2,1]; J = [[4,0],[1,2]]."""
     spec = one_layer_model(2, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([2.0, 1.0])
+    params = np.array([2.0, 1.0])
     return spec, params, np.array([1.0, 0.0])
 
 
@@ -50,15 +50,15 @@ def test_shape_mismatch_names_layer():
 def test_cross_entropy_uniform_logits():
     spec = mlp_model(4, 3, 10)
     params = initialize_parameters(spec, InitScheme("uniform", 0))
-    theta = params.theta.copy()
+    theta = params.copy()
     theta[4 * 3:] = 0.0  # zero the classifier head: logits all zero
-    loss = forward_loss(spec, params.with_theta(theta), np.ones(4), 7)
+    loss = forward_loss(spec, theta, np.ones(4), 7)
     assert abs(loss - math.log(10)) < 1e-12
 
 
 def test_linear_model_gradients():
     spec = linear_dot_model(2)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta([2.0, 1.0])
+    params = np.array([2.0, 1.0])
     x = np.array([1.0, 0.0])
     assert forward_loss(spec, params, x) == 2.0
     g = gradients(spec, params, x)
@@ -70,7 +70,7 @@ def test_loss_scaling_scales_gradients():
     spec, params, x = frozen_one_layer()
     g = gradients(spec, params, x)
     # at (2 theta, 2 x) the quadratic loss scales by 16, its theta-gradient by 8
-    g2 = gradients(spec, params.with_theta(2.0 * params.theta), 2.0 * x)
+    g2 = gradients(spec, 2.0 * params, 2.0 * x)
     np.testing.assert_allclose(g2.g_theta, 8.0 * g.g_theta, rtol=1e-12)
 
 
@@ -105,8 +105,7 @@ def test_one_layer_analytic_jacobian_general_point():
     theta = rng.normal(size=4)
     b = 0.3
     spec = one_layer_model(4, "identity", b)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta(theta)
-    J = materialize_jacobian(spec, params, x)
+    J = materialize_jacobian(spec, theta, x)
     analytic = np.outer(theta, x) + (theta @ x - b) * np.eye(4)
     np.testing.assert_allclose(J, analytic, atol=1e-9)
 
@@ -116,9 +115,8 @@ def test_well_fit_one_layer_is_rank_one():
     x = np.array([1.0, 2.0, -1.0])
     theta = np.array([0.5, 0.25, 1.0])  # theta.x = 0
     spec = one_layer_model(3, "identity", 0.0)
-    params = initialize_parameters(spec, InitScheme("uniform", 0)).with_theta(theta)
-    assert np.linalg.norm(gradients(spec, params, x).g_theta) <= 1e-12
-    s = np.linalg.svd(materialize_jacobian(spec, params, x), compute_uv=False)
+    assert np.linalg.norm(gradients(spec, theta, x).g_theta) <= 1e-12
+    s = np.linalg.svd(materialize_jacobian(spec, theta, x), compute_uv=False)
     assert s[1] <= 1e-9
 
 
@@ -144,28 +142,28 @@ def test_materialize_budget_refusal(monkeypatch):
 def test_init_scheme_supports():
     spec = mlp_model(100, 10, 10)
     for seed in (0, 1):
-        u = initialize_parameters(spec, InitScheme("uniform", seed)).theta
+        u = initialize_parameters(spec, InitScheme("uniform", seed))
         assert u.min() >= -0.5 and u.max() <= 0.5
-        xa = initialize_parameters(spec, InitScheme("xavier", seed)).theta
+        xa = initialize_parameters(spec, InitScheme("xavier", seed))
         # first layer fan_in 100, fan_out 10: bound sqrt(6/110)
         assert np.abs(xa[:1000]).max() <= math.sqrt(6.0 / 110)
-        ka = initialize_parameters(spec, InitScheme("kaiming", seed)).theta
+        ka = initialize_parameters(spec, InitScheme("kaiming", seed))
         assert np.abs(ka[:1000]).max() <= math.sqrt(6.0 / 100)
 
 
 def test_normal_init_variance_band():
     spec = ModelSpec([Linear(100, 100)], "sum_output", (100,))
-    theta = initialize_parameters(spec, InitScheme("normal", 11)).theta
+    theta = initialize_parameters(spec, InitScheme("normal", 11))
     assert theta.size == 10 ** 4
     assert 0.45 <= theta.var() <= 0.55
 
 
 def test_init_determinism():
     spec = mlp_model(8, 8, 4)
-    a = initialize_parameters(spec, InitScheme("kaiming", 42)).theta
-    b = initialize_parameters(spec, InitScheme("kaiming", 42)).theta
+    a = initialize_parameters(spec, InitScheme("kaiming", 42))
+    b = initialize_parameters(spec, InitScheme("kaiming", 42))
     assert np.array_equal(a, b)
-    c = initialize_parameters(spec, InitScheme("kaiming", 43)).theta
+    c = initialize_parameters(spec, InitScheme("kaiming", 43))
     assert not np.array_equal(a, c)
 
 
@@ -180,11 +178,21 @@ def test_parameter_slots_cover_theta():
     assert end == spec.d_theta
 
 
-def test_with_theta_shape_guard():
-    spec = linear_dot_model(3)
-    params = initialize_parameters(spec, InitScheme("uniform", 0))
-    with pytest.raises(ShapeError):
-        params.with_theta(np.zeros(4))
+@pytest.mark.parametrize("spec", [mlp_model(4, 3, 2), lenet_variant(image_size=8, channels=2, num_classes=3)],
+                         ids=["mlp", "lenet"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_theta_length_is_checked_where_a_point_enters(spec, extra):
+    # a theta one entry short or long is a ShapeError naming both lengths at
+    # the kernel, the engine and the trainer, not a reshape error or a silent run
+    theta = np.zeros(spec.d_theta + extra)
+    x = np.full(spec.input_shape, 0.5)
+    message = rf"theta has shape \({theta.size},\) but d_theta is {spec.d_theta}"
+    for call in (lambda: MixedJacobianOperator(spec, theta, x, 1),
+                 lambda: forward_loss(spec, theta, x, 1),
+                 lambda: engine_oracle(spec, theta, x, 1, "grad_theta"),
+                 lambda: train_model(spec, theta, [Sample(x, 1)], epochs=1, lr=0.1)):
+        with pytest.raises(ShapeError, match=message):
+            call()
 
 
 def test_trainer_lr_zero_is_constant():
@@ -193,7 +201,7 @@ def test_trainer_lr_zero_is_constant():
     data = synthetic_samples("separable_2class", 4, (4,), seed=0)
     snaps = train_model(spec, params, data, epochs=3, lr=0.0)
     for s in snaps:
-        assert np.array_equal(s.theta, params.theta)
+        assert np.array_equal(s, params)
 
 
 def test_trainer_reduces_loss_and_is_deterministic():
@@ -207,7 +215,7 @@ def test_trainer_reduces_loss_and_is_deterministic():
     snaps = train_model(spec, params, data, epochs=50, lr=0.1)
     assert total_loss(snaps[-1]) < total_loss(params)
     snaps2 = train_model(spec, params, data, epochs=50, lr=0.1)
-    assert np.array_equal(snaps[-1].theta, snaps2[-1].theta)
+    assert np.array_equal(snaps[-1], snaps2[-1])
 
 
 def test_materialize_budget_refusal_by_columns(monkeypatch):
