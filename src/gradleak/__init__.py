@@ -6,7 +6,6 @@ from .models import (
     Activation,
     Conv2d,
     Flatten,
-    GradientBundle,
     InitScheme,
     Linear,
     MixedJacobianOperator,

@@ -37,6 +37,11 @@ class AttackConfig:
             raise ValueError(f"unknown dummy init {self.dummy_init!r}")
         if self.iterations < 1 or self.learning_rate <= 0:
             raise ValueError("need iterations >= 1 and learning_rate > 0")
+        for name in ("beta1", "beta2"):  # beta = 1 zeroes Adam's bias correction
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
     @property
     def project(self):

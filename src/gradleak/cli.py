@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: audit, eigen-defense, fairness, init-compare, efficiency,
-spectrum, validate.  Exit codes: 0 success, 1 check failure, 2 config
-error.
+spectrum, validate.  Exit codes: 0 success, 1 check failure (or a run
+that blew up to a non-finite value), 2 config error.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SingularSpectrumError, BudgetError, OSError) as e:
+    except (SingularSpectrumError, BudgetError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"wrote results to {cfg.output_dir}")

@@ -410,10 +410,9 @@ def run_validate(seed=0, perturb_vjp=None):
 
     # gradients vs. central finite differences
     for name, op in cases:
-        g = zoo.gradients(op.spec, op.theta, op.x, op.y)
         fd = zoo.finite_difference_oracle(op.spec, op.theta, op.x, op.y, "grad_theta")
         scale = max(np.abs(fd).max(), 1e-12)
-        record(f"finite_difference_grad_theta[{name}]", np.abs(g.g_theta - fd).max() / scale, 1e-6)
+        record(f"finite_difference_grad_theta[{name}]", np.abs(op.g_theta - fd).max() / scale, 1e-6)
 
     # mixed JVP vs. finite differences of gradients
     for name, op in cases:

@@ -54,12 +54,18 @@ class I2FReport:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: np.ndarray      # of J J^T, descending
-    singular_values: np.ndarray  # sqrt of the above
-    rank: int
-    rank_threshold: float
+    """What dense_spectrum computed: J J^T's eigenvalues, J's numerical rank,
+    the operator it factors and, unless values-only, the eigenvectors U."""
+
+    eigenvalues: np.ndarray  # of J J^T, descending
+    rank: int  # how many eigenvalues lie above RANK_THRESHOLD_REL * the largest
     operator: MixedJacobianOperator | None = None  # the J it factors
     U: np.ndarray | None = None  # eigenvectors of J J^T, columns in eigenvalue order
+
+    @property
+    def singular_values(self):
+        """J's singular values, the square roots of the eigenvalues."""
+        return np.sqrt(self.eigenvalues)
 
     def right_vector(self, i):
         """Unit right singular vector J^T u_i / sigma_i, for 0 <= i < rank,
@@ -251,8 +257,7 @@ def dense_spectrum(operator: MixedJacobianOperator, vectors=True) -> SpectrumRep
     eig, U = np.clip(eig[::-1], 0.0, None), None if U is None else U[:, ::-1]
     thresh = RANK_THRESHOLD_REL * (eig[0] if eig.size else 0.0)
     rank = int(np.sum(eig > thresh))
-    return SpectrumReport(eigenvalues=eig, singular_values=np.sqrt(eig), rank=rank,
-                          rank_threshold=thresh, operator=operator, U=U)
+    return SpectrumReport(eigenvalues=eig, rank=rank, operator=operator, U=U)
 
 
 class SingularSpectrumError(ValueError):
@@ -269,7 +274,7 @@ def expected_gaussian_risk(spectrum: SpectrumReport, variance=1.0, epsilon=0.0) 
         raise ValueError("variance must be >= 0")
     eig = spectrum.eigenvalues
     if epsilon == 0.0:
-        if np.any(eig <= spectrum.rank_threshold):
+        if spectrum.rank < eig.size:
             raise SingularSpectrumError(
                 "spectrum has eigenvalues at the rank threshold; "
                 "pass epsilon > 0 to use the damped expectation")
@@ -295,13 +300,12 @@ def theorem_bound(j_norm, mu_l, mu_j, g0, delta, jdelta_norm) -> float:
 class LipschitzEstimate:
     mu_l: float
     mu_j: float
-    n_pairs: int
-    radius: float
 
 
 def estimate_lipschitz(spec, theta, samples, n_pairs=10, radius=1e-2, seed=0) -> LipschitzEstimate:
-    """Empirical max-over-pairs estimates of the gradient/Jacobian Lipschitz
-    constants w.r.t. the input.  Pairs are (x, x + radius * unit direction)."""
+    """Empirical max-over-pairs estimates mu_l and mu_j of the gradient and
+    Jacobian Lipschitz constants w.r.t. the input.  Pairs are
+    (x, x + radius * unit direction)."""
     if n_pairs < 1 or radius <= 0:
         raise ValueError("need n_pairs >= 1 and radius > 0")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -314,12 +318,11 @@ def estimate_lipschitz(spec, theta, samples, n_pairs=10, radius=1e-2, seed=0) ->
         direction = rng.normal(size=x.shape)
         direction /= np.linalg.norm(direction)
         x2 = x + radius * direction
-        dist = radius
         op1 = MixedJacobianOperator(spec, theta, x, y)
         op2 = MixedJacobianOperator(spec, theta, x2, y)
-        mu_l = max(mu_l, float(np.linalg.norm(op1.g_theta - op2.g_theta) / dist))
+        mu_l = max(mu_l, float(np.linalg.norm(op1.g_theta - op2.g_theta) / radius))
         diff = SimpleNamespace(d_x=spec.d_x, jvp=lambda v: op1.jvp(v) - op2.jvp(v),
                                vjp=lambda b: op1.vjp(b) - op2.vjp(b))  # J - J'
         lam, _, _, _ = lambda_max_power_iteration(diff, iters=50, seed=int(rng.integers(2 ** 63)))
-        mu_j = max(mu_j, float(np.sqrt(max(lam, 0.0)) / dist))
-    return LipschitzEstimate(mu_l=mu_l, mu_j=mu_j, n_pairs=n_pairs, radius=radius)
+        mu_j = max(mu_j, float(np.sqrt(max(lam, 0.0)) / radius))
+    return LipschitzEstimate(mu_l=mu_l, mu_j=mu_j)

@@ -196,15 +196,9 @@ def forward_loss(spec: ModelSpec, theta, x, y=None) -> float:
     return float(loss.data)
 
 
-@dataclass(frozen=True)
-class GradientBundle:
-    g_theta: np.ndarray
-    g_x: np.ndarray
-
-
-def gradients(spec: ModelSpec, theta, x, y=None) -> GradientBundle:
-    op = MixedJacobianOperator(spec, theta, x, y)
-    return GradientBundle(op.g_theta.copy(), op.g_x.copy())
+def gradients(spec: ModelSpec, theta, x, y=None) -> MixedJacobianOperator:
+    """The operator at that point; read `.g_theta` and `.g_x`."""
+    return MixedJacobianOperator(spec, theta, x, y)
 
 
 class MixedJacobianOperator:

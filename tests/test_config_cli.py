@@ -472,6 +472,19 @@ def test_cli_gram_over_budget_exit_1(tmp_path, capsys, runner):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+def test_cli_non_finite_value_exit_1(tmp_path, capsys):
+    # an identity MLP trained at lr 1e3 overflows: one error line, no traceback
+    doc = base_doc(str(tmp_path / "out"), samples=1, train={"epochs": 200, "lr": 1e3},
+                   model={"kind": "mlp", "d": 9, "hidden": 4, "activation": "identity"})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "--config", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: non-finite activation after layer 2 "
+                        "(Linear(in_features=4, out_features=3))\n"), err
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_dash_m_runs_validate():
     import gradleak
 

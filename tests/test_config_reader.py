@@ -127,6 +127,11 @@ KINDS_AND_RANGES = [
     (("init_schemes",), [], r"init_schemes must hold at least one scheme, got \[\]"),
     (("data", "synthetic_kind"), "bogus", "unknown synthetic kind 'bogus'"),
     (("attack", "dummy_init"), "bogus", "unknown dummy init 'bogus'"),
+    (("attack", "beta1"), -0.5, r"attack: beta1 must be in \[0, 1\), got -0.5"),
+    (("attack", "beta1"), 1.0, r"attack: beta1 must be in \[0, 1\), got 1.0"),
+    (("attack", "beta2"), -0.5, r"attack: beta2 must be in \[0, 1\), got -0.5"),
+    (("attack", "beta2"), 1.0, r"attack: beta2 must be in \[0, 1\), got 1.0"),
+    (("attack", "adam_eps"), 0.0, "attack: adam_eps must be > 0, got 0.0"),
     (("samples",), -1, "samples must be >= 1"),
     (("repetitions",), 0, "repetitions must be >= 1"),
     (("eigen_directions",), 0, "eigen_directions must be >= 1"),

@@ -367,6 +367,19 @@ def test_values_only_spectrum_matches_eigh_property(op):
     assert np.all(np.diff(values.eigenvalues) <= 0) and np.all(values.eigenvalues >= 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_stacks(), st.sampled_from([0.5, 1.0, 3.0]))
+def test_expected_risk_is_singular_exactly_below_full_rank_property(op, variance):
+    # the undamped risk needs every one of the d_x eigenvalues above the
+    # rank threshold, on the eigh and on the values-only report alike
+    for rep in (dense_spectrum(op), dense_spectrum(op, vectors=False)):
+        if rep.rank < op.d_x:
+            with pytest.raises(SingularSpectrumError):
+                expected_gaussian_risk(rep, variance)
+        else:
+            assert expected_gaussian_risk(rep, variance) == variance * np.sum(1.0 / rep.eigenvalues)
+
+
 def test_right_vector_needs_eigenvectors():
     rep = dense_spectrum(mlp_operator(), vectors=False)
     assert rep.rank > 0
